@@ -22,9 +22,8 @@ fn main() {
     let (artifact, ds, _) = pipeline.execute_month(&world);
     let mut model = gaia_core::Gaia::new(artifact.config.clone(), 0);
     model.restore(&artifact.checkpoint).expect("restore");
-    let cache = model.precompute_embeddings(&ds).into_shared();
+    let cache = model.precompute_embeddings(&ds);
     let mut scratch = InferenceScratch::new();
-    scratch.install_embed_cache(cache);
 
     let batch: Vec<usize> = (0..8usize).collect();
     // Warm up.
@@ -35,6 +34,7 @@ fn main() {
             &world.graph,
             &batch,
             42,
+            &cache,
             &mut scratch,
         );
     }
@@ -47,6 +47,7 @@ fn main() {
             &world.graph,
             &batch,
             42,
+            &cache,
             &mut scratch,
         );
         std::hint::black_box(&p);
@@ -67,7 +68,6 @@ fn main() {
     let ego_cfg = model.ego_config();
     let mut ego_slots: Vec<EgoScratch> = (0..batch.len()).map(|_| EgoScratch::new()).collect();
     let mut tape = gaia_tensor::Graph::for_inference();
-    let mut cache2 = model.precompute_embeddings(&ds).into_shared();
 
     let (mut t_ego, mut t_fwd, mut t_out) = (0.0f64, 0.0f64, 0.0f64);
     for _ in 0..reps {
@@ -82,7 +82,7 @@ fn main() {
             .collect();
         let s1 = Instant::now();
         tape.reset();
-        let preds = model.forward_centers_cached(&mut tape, &ds, &egos, &mut cache2);
+        let preds = model.forward_centers_cached(&mut tape, &ds, &egos, &cache);
         let s2 = Instant::now();
         let out: Vec<Vec<_>> = preds
             .iter()
@@ -107,22 +107,19 @@ fn main() {
 
     // ---- Publish-stage split: where a full batched republish spends its
     // time (block-tape embeddings vs layer-0 projections vs bulk cache
-    // insert vs the final overlay freeze), against the per-node reference.
+    // insert), against the per-node reference.
     let s0 = Instant::now();
-    let per_node_cache = model.precompute_embeddings_per_node(&ds).into_shared();
+    let per_node_cache = model.precompute_embeddings_per_node(&ds);
     let per_node_s = s0.elapsed().as_secs_f64();
     std::hint::black_box(&per_node_cache);
     let s1 = Instant::now();
     let (publish_cache, stages) =
         model.precompute_embeddings_profiled(&ds, gaia_core::PUBLISH_BLOCK);
     let batched_s = s1.elapsed().as_secs_f64();
-    let s2 = Instant::now();
-    let publish_cache = publish_cache.into_shared();
-    let freeze_s = s2.elapsed().as_secs_f64();
     std::hint::black_box(&publish_cache);
     println!(
         "publish split (n={}, block={}): per-node={:.1}ms batched={:.1}ms ({:.2}x) \
-         [embed={:.1}ms projections={:.1}ms insert={:.1}ms freeze={:.2}ms]",
+         [embed={:.1}ms projections={:.1}ms insert={:.1}ms]",
         ds.n,
         gaia_core::PUBLISH_BLOCK,
         1e3 * per_node_s,
@@ -130,8 +127,7 @@ fn main() {
         per_node_s / batched_s,
         1e3 * stages.embed_seconds,
         1e3 * stages.projection_seconds,
-        1e3 * stages.insert_seconds,
-        1e3 * freeze_s
+        1e3 * stages.insert_seconds
     );
 
     // ---- Kernel microbenches at exact model shapes. ----

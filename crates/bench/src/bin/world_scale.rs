@@ -80,11 +80,14 @@ struct ScaleRun {
     /// `Dataset::approx_heap_bytes()` of the built dataset.
     dataset_heap_bytes: usize,
     /// Best-of-5 wall seconds for `ModelServer::publish_full` (whole-world
-    /// feature refresh + embedding/projection precompute + freeze).
+    /// feature refresh + embedding/projection precompute).
     full_publish_seconds: f64,
     /// Best-of-5 wall seconds for `ModelServer::publish_delta` with 1% of
-    /// shops churned.
+    /// shops churned, fresh sales written before each of the 5 runs.
     delta_publish_1pct_seconds: f64,
+    /// Nodes each delta republish recomputed (checked equal to the dirty
+    /// count on every run).
+    recomputed_nodes: usize,
     /// `EmbedCache::approx_heap_bytes()` of the published snapshot cache.
     cache_heap_bytes: usize,
     /// Stored edges in the generated graph.
@@ -151,14 +154,15 @@ fn serving_model(ds: &Dataset) -> (GaiaConfig, ModelArtifact) {
 }
 
 /// Rewrite recent history of `count` spread-out shops (deep enough to move
-/// the input window) and return the dirty set.
-fn churn(world: &mut World, count: usize, horizon: usize) -> DirtySet {
+/// the input window) with sales seeded by `rep`, so every call moves every
+/// touched row, and return the dirty set.
+fn churn(world: &mut World, count: usize, horizon: usize, rep: usize) -> DirtySet {
     let n = world.shops.len();
     for i in 0..count {
         let shop = ((i * 37 + 11) % n) as u32;
         let window: Vec<MonthlySales> = (0..horizon + 2)
             .map(|m| MonthlySales {
-                gmv: 3_000.0 + 71.0 * (i + m) as f64,
+                gmv: 3_000.0 + 71.0 * (i + m) as f64 + 113.0 * rep as f64,
                 orders: 20.0 + i as f64,
                 customers: 9.0 + m as f64,
             })
@@ -187,12 +191,27 @@ fn run_one(n_shops: usize) -> ScaleRun {
     // after the boot publish warmed the allocator.
     let (full_publish_seconds, _) = best_of_5(|| server.publish_full(&world));
 
-    // Delta republish at 1% churn (republishing the same dirty set does
-    // the same work each time, so best-of-5 measures a steady state).
+    // Delta republish at 1% churn: fresh sales before each of 5 runs, so
+    // every run recomputes the whole dirty set (republishing an unchanged
+    // set would recompute nothing); only the publish itself is timed.
     let mut churned = world.clone();
     let count = (n_shops / 100).max(1);
-    let dirty = churn(&mut churned, count, horizon);
-    let (delta_publish_1pct_seconds, _) = best_of_5(|| server.publish_delta(&churned, &dirty));
+    let mut delta_publish_1pct_seconds = f64::INFINITY;
+    let mut recomputed_nodes = 0;
+    for rep in 0..5 {
+        let dirty = churn(&mut churned, count, horizon, rep);
+        let start = Instant::now();
+        let stats = server.publish_delta(&churned, &dirty);
+        delta_publish_1pct_seconds = delta_publish_1pct_seconds.min(start.elapsed().as_secs_f64());
+        recomputed_nodes = stats.recomputed_nodes;
+        if recomputed_nodes != dirty.len() {
+            eprintln!(
+                "n={n_shops}: delta run {rep} recomputed {recomputed_nodes} nodes for {} dirty",
+                dirty.len()
+            );
+            std::process::exit(1);
+        }
+    }
 
     let per_node_publish_frozen_seconds =
         FROZEN_PER_NODE.iter().find(|&&(n, _)| n == n_shops).map(|&(_, s)| s);
@@ -204,7 +223,8 @@ fn run_one(n_shops: usize) -> ScaleRun {
     println!(
         "n={n_shops:>7}: world {world_gen_seconds:.2}s, dataset {dataset_build_seconds:.3}s \
          ({:.1} MB), full publish {full_publish_seconds:.4}s ({:.1} MB cache){speedup_note}, \
-         delta@1% {delta_publish_1pct_seconds:.4}s, {graph_edges} edges",
+         delta@1% {delta_publish_1pct_seconds:.4}s ({recomputed_nodes} nodes), \
+         {graph_edges} edges",
         dataset_heap_bytes as f64 / 1e6,
         cache_heap_bytes as f64 / 1e6,
     );
@@ -215,6 +235,7 @@ fn run_one(n_shops: usize) -> ScaleRun {
         dataset_heap_bytes,
         full_publish_seconds,
         delta_publish_1pct_seconds,
+        recomputed_nodes,
         cache_heap_bytes,
         graph_edges,
         per_node_publish_frozen_seconds,

@@ -7,20 +7,6 @@ use gaia_nn::ParamStore;
 use gaia_synth::Dataset;
 use gaia_tensor::{Graph, Tensor, VarId};
 
-/// Cache of per-node embedding *values* for inference-only forward passes.
-///
-/// A node's embedding (FFL → TEL output, `E_v: [T, C]`) depends only on the
-/// node's features and the model parameters — not on the ego subgraph it
-/// appears in — so serving workers can reuse it across requests. The cache
-/// is only sound while the model parameters and dataset stay fixed; owners
-/// (e.g. a serving inference context) must call [`EmbedCache::clear`] when
-/// either changes, such as after a model hot swap.
-///
-/// Two layers: an optional **shared** base (an `Arc`'d map produced by
-/// [`EmbedCache::into_shared`], typically a snapshot's publish-time
-/// precompute) and a **local** overlay for entries inserted by this holder.
-/// Cloning a shared cache is an `Arc` bump, not a deep copy of the tensors,
-/// so handing one to every serving worker is cheap.
 /// Slots of the per-node **layer-0 projection cache** (see
 /// [`EmbedCache::proj_constant`]): the CAU's Q/K/V conv projections and the
 /// ITA aggregation gate's source/destination projections, all evaluated on
@@ -41,13 +27,6 @@ pub enum ProjSlot {
     /// Gate destination projection `L^d ⋆ E_v` (`[T, 1]`).
     GateDst,
 }
-
-/// One node's cached projections, filled lazily per slot.
-type ProjEntry = [Option<Tensor>; 5];
-
-/// All projection slots, indexable by `ProjSlot as usize`.
-const PROJ_SLOTS: [ProjSlot; 5] =
-    [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst];
 
 /// Nodes per copy-on-write cache segment (see [`EmbedCache`]): contiguous
 /// node-id ranges `[k·64, (k+1)·64)` share one `Arc`'d chunk, so an
@@ -152,26 +131,33 @@ pub struct BlockValues<'a> {
     pub gate_dst: &'a [f32],
 }
 
+/// Published per-node cache of embedding *values* (FFL → TEL output,
+/// `E_v: [T, C]`) and the layer-0 projections of `E_v` (see [`ProjSlot`]),
+/// read by inference-only forward passes.
+///
+/// Every entry depends only on the node's features and the model
+/// parameters — not on the ego subgraph it appears in — so a cache built
+/// once at publish time serves every request of that generation. The
+/// publisher writes it ([`EmbedCache::insert_block`]), combines worker
+/// outputs ([`EmbedCache::merge_disjoint`]) and slices it per shard
+/// ([`EmbedCache::retain_segments`]); the request path only borrows it.
+/// A lookup that misses is computed on the request's tape and not stored.
+///
+/// Storage is segmented copy-on-write: cloning is a vector of `Arc` bumps,
+/// and a write clones only the segments it touches, so successive
+/// generations share every clean segment's heap allocation.
 #[derive(Clone, Debug, Default)]
 pub struct EmbedCache {
-    /// Shared base, segmented: index `k` covers nodes
-    /// `[k·SEGMENT_NODES, (k+1)·SEGMENT_NODES)`. Cloning is a vector of
-    /// `Arc` bumps; [`EmbedCache::into_shared`] rebuilds only segments the
-    /// local overlay touched, leaving every clean segment's `Arc` (and thus
-    /// its heap storage) shared with the previous epoch.
-    shared: Vec<Option<std::sync::Arc<Segment>>>,
-    /// Embedding dims `(T, C)` of the frozen blocks, inferred from the
-    /// overlay tensors on the first freeze. Every cached tensor agrees on
-    /// them (one model, one dataset — see [`EmbedCache::clear`]).
+    /// Segment `k` covers nodes `[k·SEGMENT_NODES, (k+1)·SEGMENT_NODES)`.
+    segments: Vec<Option<std::sync::Arc<Segment>>>,
+    /// Embedding dims `(T, C)` of the blocks, fixed by the first write.
     dims: Option<(usize, usize)>,
-    local: std::collections::HashMap<usize, Tensor>,
-    proj_local: std::collections::HashMap<usize, ProjEntry>,
 }
 
 impl EmbedCache {
     /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self { segments: Vec::new(), dims: None }
     }
 
     /// Segment index covering `node`.
@@ -179,27 +165,27 @@ impl EmbedCache {
         node / SEGMENT_NODES
     }
 
-    /// Number of shared segment slots (the highest frozen node's segment
-    /// plus one; local-only entries don't count until frozen).
+    /// Number of segment slots (the highest populated node's segment plus
+    /// one).
     pub fn segment_count(&self) -> usize {
-        self.shared.len()
+        self.segments.len()
     }
 
-    /// Stable address of shared segment `seg`'s storage, if populated.
-    /// Two epochs returning the same address for a segment **share** that
-    /// segment's heap allocation — the observable the zero-alloc
-    /// copy-on-write tests pin.
+    /// Stable address of segment `seg`'s storage, if populated. Two epochs
+    /// returning the same address for a segment **share** that segment's
+    /// heap allocation — the observable the zero-alloc copy-on-write tests
+    /// pin.
     pub fn segment_addr(&self, seg: usize) -> Option<usize> {
-        self.shared
+        self.segments
             .get(seg)
             .and_then(|s| s.as_ref())
             .map(|arc| std::sync::Arc::as_ptr(arc) as usize)
     }
 
-    /// Flat element span of `node`'s frozen embedding, if present.
-    fn shared_embed_span(&self, node: usize) -> Option<&[CacheElem]> {
+    /// Flat element span of `node`'s embedding, if present.
+    fn embed_span(&self, node: usize) -> Option<&[CacheElem]> {
         let (t, c) = self.dims?;
-        let seg = self.shared.get(Self::segment_of(node))?.as_ref()?;
+        let seg = self.segments.get(Self::segment_of(node))?.as_ref()?;
         let off = node % SEGMENT_NODES;
         if seg.embed_mask >> off & 1 == 0 {
             return None;
@@ -208,15 +194,11 @@ impl EmbedCache {
         Some(&seg.data[off * stride..off * stride + t * c])
     }
 
-    /// Flat element span of `node`'s frozen projection `slot` plus its
+    /// Flat element span of `node`'s projection `slot` plus its
     /// `[rows, cols]` shape, if present.
-    fn shared_proj_span(
-        &self,
-        node: usize,
-        slot: ProjSlot,
-    ) -> Option<(&[CacheElem], usize, usize)> {
+    fn proj_span(&self, node: usize, slot: ProjSlot) -> Option<(&[CacheElem], usize, usize)> {
         let (t, c) = self.dims?;
-        let seg = self.shared.get(Self::segment_of(node))?.as_ref()?;
+        let seg = self.segments.get(Self::segment_of(node))?.as_ref()?;
         let off = node % SEGMENT_NODES;
         if seg.proj_masks[slot as usize] >> off & 1 == 0 {
             return None;
@@ -226,72 +208,47 @@ impl EmbedCache {
         Some((&seg.data[start..start + rows * cols], rows, cols))
     }
 
-    /// True when `node`'s embedding is cached (shared or local).
+    /// True when `node`'s embedding is cached.
     pub fn has_embed(&self, node: usize) -> bool {
-        self.local.contains_key(&node) || self.shared_embed_span(node).is_some()
+        self.embed_span(node).is_some()
     }
 
-    /// True when projection `slot` of `node` is cached (shared or local).
+    /// True when projection `slot` of `node` is cached.
     pub fn has_proj(&self, node: usize, slot: ProjSlot) -> bool {
-        self.proj_local.get(&node).is_some_and(|e| e[slot as usize].is_some())
-            || self.shared_proj_span(node, slot).is_some()
+        self.proj_span(node, slot).is_some()
     }
 
     /// Enter `node`'s cached embedding on the tape as a pooled `[T, C]`
-    /// constant, if present: a plain pooled copy for a local-overlay hit, a
-    /// dequantising fill straight from the frozen block for a shared hit —
-    /// either way no staging allocation, so the serving steady state stays
-    /// zero-alloc.
+    /// constant, if present: a (dequantising) fill straight from the
+    /// segment block, no staging allocation, so the serving steady state
+    /// stays zero-alloc.
     pub fn embed_constant(&self, g: &mut Graph, node: usize) -> Option<VarId> {
-        if let Some(tensor) = self.local.get(&node) {
-            return Some(g.constant_from(tensor));
-        }
         let (t, c) = self.dims?;
-        let span = self.shared_embed_span(node)?;
+        let span = self.embed_span(node)?;
         Some(constant_from_span(g, span, t, c))
     }
 
     /// Enter `node`'s cached layer-0 projection `slot` on the tape as a
-    /// pooled constant, if present. Local overlay first, then the shared
-    /// base — per slot, so a partially filled local entry still falls
-    /// through to frozen slots.
+    /// pooled constant, if present.
     pub fn proj_constant(&self, g: &mut Graph, node: usize, slot: ProjSlot) -> Option<VarId> {
-        if let Some(t) = self.proj_local.get(&node).and_then(|e| e[slot as usize].as_ref()) {
-            return Some(g.constant_from(t));
-        }
-        let (span, rows, cols) = self.shared_proj_span(node, slot)?;
+        let (span, rows, cols) = self.proj_span(node, slot)?;
         Some(constant_from_span(g, span, rows, cols))
     }
 
-    /// Owned f32 copy of `node`'s cached embedding (decoded from the
-    /// frozen block when shared) — the test/debug read path.
+    /// Owned f32 copy of `node`'s cached embedding — the test/debug read
+    /// path.
     pub fn embed_vec(&self, node: usize) -> Option<Vec<f32>> {
-        if let Some(tensor) = self.local.get(&node) {
-            return Some(tensor.data().to_vec());
-        }
-        Some(self.shared_embed_span(node)?.iter().map(|&q| decode_elem(q)).collect())
+        Some(self.embed_span(node)?.iter().map(|&q| decode_elem(q)).collect())
     }
 
     /// Owned f32 copy of `node`'s cached projection `slot`, if present.
     pub fn proj_vec(&self, node: usize, slot: ProjSlot) -> Option<Vec<f32>> {
-        if let Some(t) = self.proj_local.get(&node).and_then(|e| e[slot as usize].as_ref()) {
-            return Some(t.data().to_vec());
-        }
-        Some(self.shared_proj_span(node, slot)?.0.iter().map(|&q| decode_elem(q)).collect())
+        Some(self.proj_span(node, slot)?.0.iter().map(|&q| decode_elem(q)).collect())
     }
 
-    /// Store `node`'s embedding value (goes to the local overlay).
-    pub fn insert(&mut self, node: usize, value: Tensor) {
-        self.local.insert(node, value);
-    }
-
-    /// Number of cached nodes (shared and local combined).
+    /// Number of nodes with a cached embedding.
     pub fn len(&self) -> usize {
-        let shared_len: usize =
-            self.shared.iter().flatten().map(|seg| seg.embed_mask.count_ones() as usize).sum();
-        let overlay_only =
-            self.local.keys().filter(|&&k| self.shared_embed_span(k).is_none()).count();
-        shared_len + overlay_only
+        self.segments.iter().flatten().map(|seg| seg.embed_mask.count_ones() as usize).sum()
     }
 
     /// True when nothing is cached.
@@ -299,169 +256,45 @@ impl EmbedCache {
         self.len() == 0
     }
 
-    /// Drop every cached embedding **and projection**, shared and local
-    /// (required after a parameter or dataset change — projections are
-    /// functions of the same parameters the embeddings are). Also forgets
-    /// the frozen dims: the next freeze re-infers them, so a model with a
-    /// different channel width can reuse the cache object.
-    pub fn clear(&mut self) {
-        self.shared.clear();
-        self.dims = None;
-        self.local.clear();
-        self.proj_local.clear();
-    }
-
-    /// Store layer-0 projection `slot` of `node` (local overlay). The
-    /// value must be bit-identical to evaluating the projection on the
-    /// node's cached embedding — callers insert exactly what the tape
-    /// computed, so cache hits can never change a prediction.
-    pub fn insert_proj(&mut self, node: usize, slot: ProjSlot, value: Tensor) {
-        self.proj_local.entry(node).or_default()[slot as usize] = Some(value);
-    }
-
     /// Number of nodes with at least one cached projection slot.
     pub fn cached_projections(&self) -> usize {
-        let shared_len: usize = self
-            .shared
+        self.segments
             .iter()
             .flatten()
             .map(|seg| seg.proj_masks.iter().fold(0u64, |acc, &m| acc | m).count_ones() as usize)
-            .sum();
-        let overlay_only = self
-            .proj_local
-            .keys()
-            .filter(|&&k| !PROJ_SLOTS.iter().any(|&s| self.shared_proj_span(k, s).is_some()))
-            .count();
-        shared_len + overlay_only
+            .sum()
     }
 
     /// Approximate resident heap bytes of the cache: every heap block's
     /// `capacity × element size` plus a 16-byte per-allocation overhead,
-    /// inline headers counted as part of their parent block. The frozen
-    /// tier is one contiguous block per segment (two allocations with the
-    /// `Arc`), so the world-scale bench sees per-node cost collapse to the
-    /// element payload itself.
+    /// inline headers counted as part of their parent block. Each segment
+    /// is one contiguous block (two allocations with the `Arc`), so the
+    /// world-scale bench sees per-node cost collapse to the element
+    /// payload itself.
     pub fn approx_heap_bytes(&self) -> usize {
         const OVH: usize = 16;
-        fn tensor_bytes(t: &Tensor) -> usize {
-            t.data().len() * 4 + t.shape().len() * 8 + 2 * OVH
-        }
         let mut bytes =
-            self.shared.capacity() * std::mem::size_of::<Option<std::sync::Arc<Segment>>>() + OVH;
-        for seg in self.shared.iter().flatten() {
+            self.segments.capacity() * std::mem::size_of::<Option<std::sync::Arc<Segment>>>() + OVH;
+        for seg in self.segments.iter().flatten() {
             bytes += OVH; // the Arc allocation (header + inline Segment)
             bytes += seg.data.capacity() * std::mem::size_of::<CacheElem>() + OVH;
-        }
-        for t in self.local.values() {
-            bytes += tensor_bytes(t) + 3 * OVH;
-        }
-        for entry in self.proj_local.values() {
-            bytes += entry.iter().flatten().map(tensor_bytes).sum::<usize>() + 3 * OVH;
         }
         bytes
     }
 
-    /// Embedding dims `(T, C)` implied by the overlay tensors: embeddings
-    /// and Q/K/V projections are `[T, C]`. Gate-only overlays cannot pin
-    /// `C`, but every producer inserts the embedding first.
-    fn infer_dims(&self) -> Option<(usize, usize)> {
-        if self.dims.is_some() {
-            return self.dims;
-        }
-        self.local
-            .values()
-            .chain(self.proj_local.values().flat_map(|e| e[..3].iter().flatten()))
-            .next()
-            .map(|t| (t.shape()[0], t.shape()[1]))
-    }
-
-    /// Freeze this cache into its cheaply cloneable shared form with
-    /// **copy-on-write** segment granularity: only segments the local
-    /// overlay touched are rebuilt (shared block cloned, overlay entries
-    /// encoded in at their fixed strides, new `Arc`); every untouched
-    /// segment keeps the *same* `Arc` as the base it was cloned from, so an
-    /// incremental republish shares clean chunks with the previous epoch
-    /// instead of re-allocating O(world).
+    /// Bulk-insert a publish **block** — the only way entries enter a
+    /// cache: the stacked embeddings and all five layer-0 projection lanes
+    /// of `nodes` land in the segment storage in one pass, one segment
+    /// lookup per touched segment and one copy-on-write clone at most.
+    /// `nodes` must be sorted ascending (the block drivers produce sorted
+    /// node ranges / recompute lists), so segment grouping is a linear
+    /// scan.
     ///
-    /// Projection overlays merge **per slot**: a local `Some` overwrites
-    /// its lane and sets its presence bit, a local `None` leaves the shared
-    /// lane intact — the same fallthrough [`EmbedCache::proj_constant`]
-    /// applies before freezing, so freezing never changes what a lookup
-    /// observes.
-    pub fn into_shared(mut self) -> Self {
-        let mut touched: Vec<usize> = self
-            .local
-            .keys()
-            .chain(self.proj_local.keys())
-            .map(|&node| Self::segment_of(node))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        if touched.is_empty() {
-            return self;
-        }
-        let (t, c) = self
-            .infer_dims()
-            .expect("EmbedCache::into_shared: no [T, C] overlay tensor to infer dims from");
-        self.dims = Some((t, c));
-        let stride = node_stride(t, c);
-        if let Some(&max_seg) = touched.last() {
-            if self.shared.len() <= max_seg {
-                self.shared.resize(max_seg + 1, None);
-            }
-        }
-        for seg_idx in touched {
-            let mut seg = match &self.shared[seg_idx] {
-                Some(arc) => (**arc).clone(),
-                None => Segment::empty(stride),
-            };
-            assert_eq!(seg.data.len(), SEGMENT_NODES * stride, "frozen segment stride mismatch");
-            let base = seg_idx * SEGMENT_NODES;
-            for off in 0..SEGMENT_NODES {
-                let block = off * stride;
-                if let Some(val) = self.local.remove(&(base + off)) {
-                    assert_eq!(val.shape(), &[t, c], "cached embedding shape");
-                    encode_into(&mut seg.data[block..block + t * c], val.data());
-                    seg.embed_mask |= 1 << off;
-                }
-                if let Some(entry) = self.proj_local.remove(&(base + off)) {
-                    for (slot_i, val) in entry.into_iter().enumerate() {
-                        if let Some(val) = val {
-                            let (offset, rows, cols) = slot_span(t, c, PROJ_SLOTS[slot_i]);
-                            assert_eq!(val.shape(), &[rows, cols], "cached projection shape");
-                            let start = block + offset;
-                            encode_into(&mut seg.data[start..start + rows * cols], val.data());
-                            seg.proj_masks[slot_i] |= 1 << off;
-                        }
-                    }
-                }
-            }
-            self.shared[seg_idx] = Some(std::sync::Arc::new(seg));
-        }
-        debug_assert!(self.local.is_empty() && self.proj_local.is_empty());
-        Self {
-            shared: self.shared,
-            dims: self.dims,
-            local: Default::default(),
-            proj_local: Default::default(),
-        }
-    }
-
-    /// Bulk-insert a publish **block**: the stacked embeddings and all five
-    /// layer-0 projection lanes of `nodes` land directly in the frozen
-    /// segment storage in one pass — one segment lookup per touched
-    /// segment and one copy-on-write clone at most, instead of `6·N`
-    /// overlay-map inserts plus a freeze. `nodes` must be sorted ascending
-    /// (the block drivers produce sorted node ranges / recompute lists), so
-    /// segment grouping is a linear scan.
-    ///
-    /// Copy-on-write contract matches [`EmbedCache::into_shared`]: a
-    /// segment still shared with a previous epoch is cloned before the
-    /// first write (the old epoch's readers never observe the new values),
-    /// while a segment this cache already owns is written in place — so a
-    /// multi-block publish touches each segment's storage once. Any stale
-    /// local-overlay entries for `nodes` are dropped: the frozen lanes now
-    /// hold the truth, and overlay entries shadow frozen ones on read.
+    /// Copy-on-write: a segment still shared with a previous epoch is
+    /// cloned before the first write (the old epoch's readers never observe
+    /// the new values), while a segment this cache already owns is written
+    /// in place — so a multi-block publish touches each segment's storage
+    /// once.
     pub fn insert_block(&mut self, nodes: &[usize], t: usize, c: usize, vals: &BlockValues<'_>) {
         let b = nodes.len();
         let tc = t * c;
@@ -476,23 +309,17 @@ impl EmbedCache {
             Some(dims) => assert_eq!(dims, (t, c), "insert_block: dims mismatch"),
             None => self.dims = Some((t, c)),
         }
-        if !self.local.is_empty() || !self.proj_local.is_empty() {
-            for node in nodes {
-                self.local.remove(node);
-                self.proj_local.remove(node);
-            }
-        }
         let stride = node_stride(t, c);
         if let Some(&max) = nodes.last() {
             let max_seg = Self::segment_of(max);
-            if self.shared.len() <= max_seg {
-                self.shared.resize(max_seg + 1, None);
+            if self.segments.len() <= max_seg {
+                self.segments.resize(max_seg + 1, None);
             }
         }
         let mut i = 0;
         while i < b {
             let seg_idx = Self::segment_of(nodes[i]);
-            let arc = self.shared[seg_idx]
+            let arc = self.segments[seg_idx]
                 .get_or_insert_with(|| std::sync::Arc::new(Segment::empty(stride)));
             assert_eq!(arc.data.len(), SEGMENT_NODES * stride, "insert_block: stride mismatch");
             let seg = std::sync::Arc::make_mut(arc);
@@ -533,43 +360,37 @@ impl EmbedCache {
             (None, Some(b)) => self.dims = Some(b),
             _ => {}
         }
-        if self.shared.len() < other.shared.len() {
-            self.shared.resize(other.shared.len(), None);
+        if self.segments.len() < other.segments.len() {
+            self.segments.resize(other.segments.len(), None);
         }
-        for (seg_idx, arc) in other.shared.into_iter().enumerate() {
+        for (seg_idx, arc) in other.segments.into_iter().enumerate() {
             if let Some(arc) = arc {
                 assert!(
-                    self.shared[seg_idx].is_none(),
+                    self.segments[seg_idx].is_none(),
                     "merge_disjoint: segment {seg_idx} populated in both caches"
                 );
-                self.shared[seg_idx] = Some(arc);
+                self.segments[seg_idx] = Some(arc);
             }
         }
-        self.local.extend(other.local);
-        self.proj_local.extend(other.proj_local);
     }
 
-    /// Shard slice of a frozen cache: keep only the shared segments `keep`
-    /// selects, dropping the rest. Kept segments are `Arc` bumps of the
-    /// **same allocations** — [`EmbedCache::segment_addr`] returns identical
+    /// Shard slice of a cache: keep only the segments `keep` selects,
+    /// dropping the rest. Kept segments are `Arc` bumps of the **same
+    /// allocations** — [`EmbedCache::segment_addr`] returns identical
     /// addresses for them, so per-shard slices of one publish (and
     /// successive slices of copy-on-write republishes) share every retained
     /// chunk's heap storage with the master cache and with each other.
     /// Dropped segments read as absent; a lookup there falls back to the
-    /// caller's recompute path exactly like an unpopulated cache. Local
-    /// overlay entries (if any) are carried over unchanged regardless of
-    /// segment.
+    /// caller's compute path exactly like an unpopulated cache.
     pub fn retain_segments(&self, keep: impl Fn(usize) -> bool) -> Self {
         Self {
-            shared: self
-                .shared
+            segments: self
+                .segments
                 .iter()
                 .enumerate()
                 .map(|(seg, arc)| if keep(seg) { arc.clone() } else { None })
                 .collect(),
             dims: self.dims,
-            local: self.local.clone(),
-            proj_local: self.proj_local.clone(),
         }
     }
 }
@@ -619,17 +440,18 @@ pub trait GraphForecaster: Sync {
     /// returning the `[1, horizon]` prediction in model (positive-log) space.
     fn forward_center(&self, g: &mut Graph, ds: &Dataset, ego: &EgoSubgraph) -> VarId;
 
-    /// Inference-only forward pass that may reuse per-node embedding values
-    /// from `cache` (and populate it). Must return bit-identical values to
-    /// [`GraphForecaster::forward_center`]; gradients need not flow through
-    /// cached sub-expressions, so this must never be used for training.
-    /// The default implementation ignores the cache.
+    /// Inference-only forward pass that may read per-node embedding values
+    /// from the published `cache`; a miss is computed on the tape. Must
+    /// return bit-identical values to [`GraphForecaster::forward_center`];
+    /// gradients need not flow through cached sub-expressions, so this must
+    /// never be used for training. The default implementation ignores the
+    /// cache.
     fn forward_center_cached(
         &self,
         g: &mut Graph,
         ds: &Dataset,
         ego: &EgoSubgraph,
-        _cache: &mut EmbedCache,
+        _cache: &EmbedCache,
     ) -> VarId {
         self.forward_center(g, ds, ego)
     }
@@ -649,7 +471,7 @@ pub trait GraphForecaster: Sync {
         g: &mut Graph,
         ds: &Dataset,
         egos: &[&EgoSubgraph],
-        cache: &mut EmbedCache,
+        cache: &EmbedCache,
     ) -> Vec<VarId> {
         egos.iter().map(|ego| self.forward_center_cached(g, ds, ego, cache)).collect()
     }
@@ -739,135 +561,18 @@ pub mod inputs {
 #[cfg(test)]
 mod tests {
     use super::inputs::*;
-    use super::{EmbedCache, ProjSlot, SEGMENT_NODES};
+    use super::{BlockValues, EmbedCache, ProjSlot, SEGMENT_NODES};
     use gaia_synth::{generate_dataset, WorldConfig};
-    use gaia_tensor::{Graph, Tensor};
+    use gaia_tensor::Graph;
 
     // Probe dims: T = 1, C = 2. Embeddings and Q/K/V are `[1, 2]`, the two
     // gate projections `[1, 1]`. Integer payloads stay ≤ 2048 so the values
     // survive the `embed-f16` tier bit-exactly and the asserts hold on both
     // element types.
-    fn probe(node: usize) -> Tensor {
-        Tensor::from_vec(vec![1, 2], vec![node as f32, 1.0])
-    }
 
-    fn gate_probe(node: usize) -> Tensor {
-        Tensor::from_vec(vec![1, 1], vec![node as f32])
-    }
-
-    /// Shared cache over `n` nodes with embeddings and two projection slots.
-    fn frozen(n: usize) -> EmbedCache {
-        let mut c = EmbedCache::new();
-        for v in 0..n {
-            c.insert(v, probe(v));
-            c.insert_proj(v, ProjSlot::Q, probe(v));
-            c.insert_proj(v, ProjSlot::GateSrc, gate_probe(v + 1));
-        }
-        c.into_shared()
-    }
-
-    fn embed_of(c: &EmbedCache, node: usize) -> Option<Vec<f32>> {
-        c.embed_vec(node)
-    }
-
-    #[test]
-    fn segmented_cache_lookup_across_boundaries() {
-        let n = SEGMENT_NODES * 2 + 5;
-        let c = frozen(n);
-        assert_eq!(c.len(), n);
-        assert_eq!(c.cached_projections(), n);
-        assert_eq!(c.segment_count(), 3);
-        for v in [0, SEGMENT_NODES - 1, SEGMENT_NODES, n - 1] {
-            assert_eq!(embed_of(&c, v).as_deref(), Some(probe(v).data()), "embed {v}");
-            assert_eq!(c.proj_vec(v, ProjSlot::Q).as_deref(), Some(probe(v).data()), "proj {v}");
-            assert_eq!(
-                c.proj_vec(v, ProjSlot::GateSrc).as_deref(),
-                Some(gate_probe(v + 1).data()),
-                "gate {v}"
-            );
-            assert_eq!(c.proj_vec(v, ProjSlot::K), None);
-            assert!(c.has_embed(v) && c.has_proj(v, ProjSlot::Q));
-            assert!(!c.has_proj(v, ProjSlot::V));
-        }
-        assert_eq!(embed_of(&c, n), None);
-        assert_eq!(embed_of(&c, SEGMENT_NODES * 40), None);
-        assert!(!c.has_embed(n));
-    }
-
-    /// The tape-facing read path: frozen blocks surface as pooled constants
-    /// with the original shapes and (decoded) values.
-    #[test]
-    fn cache_constants_carry_shape_and_value_onto_the_tape() {
-        let c = frozen(SEGMENT_NODES + 3);
-        let mut g = Graph::new();
-        let v = SEGMENT_NODES + 1;
-        let e = c.embed_constant(&mut g, v).unwrap();
-        assert_eq!(g.value(e).shape(), &[1, 2]);
-        assert_eq!(g.value(e).data(), probe(v).data());
-        let q = c.proj_constant(&mut g, v, ProjSlot::Q).unwrap();
-        assert_eq!(g.value(q).shape(), &[1, 2]);
-        assert_eq!(g.value(q).data(), probe(v).data());
-        let gs = c.proj_constant(&mut g, v, ProjSlot::GateSrc).unwrap();
-        assert_eq!(g.value(gs).shape(), &[1, 1]);
-        assert_eq!(g.value(gs).data(), gate_probe(v + 1).data());
-        assert!(c.proj_constant(&mut g, v, ProjSlot::K).is_none());
-        // Local-overlay hits surface the same way, pre-freeze.
-        let mut overlay = EmbedCache::new();
-        overlay.insert(0, probe(7));
-        let o = overlay.embed_constant(&mut g, 0).unwrap();
-        assert_eq!(g.value(o).data(), probe(7).data());
-    }
-
-    #[test]
-    fn freeze_rebuilds_only_touched_segments() {
-        let n = SEGMENT_NODES * 3;
-        let base = frozen(n);
-        let addrs: Vec<_> = (0..3).map(|s| base.segment_addr(s).unwrap()).collect();
-        // Clone (Arc bumps), dirty one node in the middle segment, refreeze.
-        let mut next = base.clone();
-        let dirty = SEGMENT_NODES + 7;
-        next.insert(dirty, probe(999));
-        next.insert_proj(dirty, ProjSlot::Q, probe(998));
-        let next = next.into_shared();
-        // Clean segments share the previous epoch's storage...
-        assert_eq!(next.segment_addr(0), Some(addrs[0]));
-        assert_eq!(next.segment_addr(2), Some(addrs[2]));
-        // ...the touched one was copied...
-        assert_ne!(next.segment_addr(1), Some(addrs[1]));
-        // ...and lookups see the new value there, old values elsewhere.
-        assert_eq!(embed_of(&next, dirty).as_deref(), Some(probe(999).data()));
-        assert_eq!(next.proj_vec(dirty, ProjSlot::Q).as_deref(), Some(probe(998).data()));
-        assert_eq!(embed_of(&next, dirty + 1).as_deref(), Some(probe(dirty + 1).data()));
-        assert_eq!(embed_of(&next, 0).as_deref(), Some(probe(0).data()));
-        // The base epoch is untouched (copy-on-write, not in-place).
-        assert_eq!(embed_of(&base, dirty).as_deref(), Some(probe(dirty).data()));
-    }
-
-    #[test]
-    fn per_slot_projection_merge_preserves_unwritten_slots() {
-        let base = frozen(SEGMENT_NODES);
-        let mut next = base.clone();
-        // Overwrite only Q; GateSrc must survive the refreeze via fallthrough.
-        next.insert_proj(3, ProjSlot::Q, probe(777));
-        let next = next.into_shared();
-        assert_eq!(next.proj_vec(3, ProjSlot::Q).as_deref(), Some(probe(777).data()));
-        assert_eq!(next.proj_vec(3, ProjSlot::GateSrc).as_deref(), Some(gate_probe(4).data()));
-        // And the embedding of that node survives too.
-        assert_eq!(embed_of(&next, 3).as_deref(), Some(probe(3).data()));
-    }
-
-    #[test]
-    fn freeze_of_untouched_clone_is_pure_sharing() {
-        let base = frozen(SEGMENT_NODES * 2);
-        let next = base.clone().into_shared();
-        for s in 0..base.segment_count() {
-            assert_eq!(next.segment_addr(s), base.segment_addr(s), "segment {s}");
-        }
-    }
-
-    /// Stacked block payloads for `insert_block` over probe dims
-    /// `T = 1, C = 2`: per-node values distinguishable across lanes, kept
-    /// integer-valued so they survive the `embed-f16` tier bit-exactly.
+    /// Stacked block payloads for `insert_block` over the probe dims:
+    /// per-node values distinguishable across lanes (`embed = [v, 1]`,
+    /// `Q = [v+1, 2]`, `K = [v+2, 3]`, `V = [v+3, 4]`, gates `v+4`, `v+5`).
     fn block_payload(
         nodes: &[usize],
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -883,15 +588,65 @@ mod tests {
         )
     }
 
-    fn insert_probe_block(cache: &mut EmbedCache, nodes: &[usize]) {
-        let (embed, q, k, v, gs, gd) = block_payload(nodes);
-        let vals =
-            super::BlockValues { embed: &embed, q: &q, k: &k, v: &v, gate_src: &gs, gate_dst: &gd };
+    /// Insert `nodes` with the probe payload of `values` (same length).
+    fn insert_probe_values(cache: &mut EmbedCache, nodes: &[usize], values: &[usize]) {
+        let (embed, q, k, v, gs, gd) = block_payload(values);
+        let vals = BlockValues { embed: &embed, q: &q, k: &k, v: &v, gate_src: &gs, gate_dst: &gd };
         cache.insert_block(nodes, 1, 2, &vals);
     }
 
+    fn insert_probe_block(cache: &mut EmbedCache, nodes: &[usize]) {
+        insert_probe_values(cache, nodes, nodes);
+    }
+
+    /// Published cache over nodes `0..n`.
+    fn published(n: usize) -> EmbedCache {
+        let mut c = EmbedCache::new();
+        insert_probe_block(&mut c, &(0..n).collect::<Vec<_>>());
+        c
+    }
+
     #[test]
-    fn insert_block_lands_directly_in_frozen_lanes() {
+    fn segmented_cache_lookup_across_boundaries() {
+        let n = SEGMENT_NODES * 2 + 5;
+        let c = published(n);
+        assert_eq!(c.len(), n);
+        assert_eq!(c.cached_projections(), n);
+        assert_eq!(c.segment_count(), 3);
+        for v in [0, SEGMENT_NODES - 1, SEGMENT_NODES, n - 1] {
+            assert_eq!(c.embed_vec(v), Some(vec![v as f32, 1.0]), "embed {v}");
+            assert_eq!(c.proj_vec(v, ProjSlot::Q), Some(vec![(v + 1) as f32, 2.0]), "Q {v}");
+            assert_eq!(c.proj_vec(v, ProjSlot::GateSrc), Some(vec![(v + 4) as f32]), "gate {v}");
+            assert!(c.has_embed(v) && c.has_proj(v, ProjSlot::V));
+        }
+        assert_eq!(c.embed_vec(n), None);
+        assert_eq!(c.proj_vec(n, ProjSlot::K), None);
+        assert_eq!(c.embed_vec(SEGMENT_NODES * 40), None);
+        assert!(!c.has_embed(n) && !c.has_proj(n, ProjSlot::Q));
+    }
+
+    /// The tape-facing read path: segment blocks surface as pooled
+    /// constants with the original shapes and (decoded) values.
+    #[test]
+    fn cache_constants_carry_shape_and_value_onto_the_tape() {
+        let c = published(SEGMENT_NODES + 3);
+        let mut g = Graph::new();
+        let v = SEGMENT_NODES + 1;
+        let e = c.embed_constant(&mut g, v).unwrap();
+        assert_eq!(g.value(e).shape(), &[1, 2]);
+        assert_eq!(g.value(e).data(), &[v as f32, 1.0]);
+        let k = c.proj_constant(&mut g, v, ProjSlot::K).unwrap();
+        assert_eq!(g.value(k).shape(), &[1, 2]);
+        assert_eq!(g.value(k).data(), &[(v + 2) as f32, 3.0]);
+        let gd = c.proj_constant(&mut g, v, ProjSlot::GateDst).unwrap();
+        assert_eq!(g.value(gd).shape(), &[1, 1]);
+        assert_eq!(g.value(gd).data(), &[(v + 5) as f32]);
+        assert!(c.embed_constant(&mut g, SEGMENT_NODES + 3).is_none());
+        assert!(c.proj_constant(&mut g, SEGMENT_NODES * 9, ProjSlot::Q).is_none());
+    }
+
+    #[test]
+    fn insert_block_lands_directly_in_segment_lanes() {
         let mut c = EmbedCache::new();
         // Straddle a segment boundary in one call.
         let nodes: Vec<usize> = (SEGMENT_NODES - 2..SEGMENT_NODES + 3).collect();
@@ -906,59 +661,44 @@ mod tests {
             assert_eq!(c.proj_vec(v, ProjSlot::GateSrc), Some(vec![(v + 4) as f32]));
             assert_eq!(c.proj_vec(v, ProjSlot::GateDst), Some(vec![(v + 5) as f32]));
         }
+        assert_eq!(c.embed_vec(SEGMENT_NODES - 3), None);
         assert_eq!(c.embed_vec(SEGMENT_NODES + 3), None);
-        // Nothing staged in the overlay: freezing is a no-op that keeps
-        // every segment's storage.
-        let addrs: Vec<_> = (0..c.segment_count()).map(|s| c.segment_addr(s)).collect();
-        let frozen = c.into_shared();
-        for (s, addr) in addrs.iter().enumerate() {
-            assert_eq!(frozen.segment_addr(s), *addr, "segment {s} rebuilt by freeze");
+        // A clone is pure sharing: every segment keeps its allocation.
+        let clone = c.clone();
+        for s in 0..c.segment_count() {
+            assert_eq!(clone.segment_addr(s), c.segment_addr(s), "segment {s} copied by clone");
         }
     }
 
     #[test]
     fn insert_block_is_copy_on_write_against_the_previous_epoch() {
-        let mut base = EmbedCache::new();
-        let all: Vec<usize> = (0..SEGMENT_NODES * 2).collect();
-        insert_probe_block(&mut base, &all);
+        let base = published(SEGMENT_NODES * 2);
         let addr0 = base.segment_addr(0).unwrap();
         let addr1 = base.segment_addr(1).unwrap();
         // Next epoch: clone (Arc bumps), rewrite three nodes of segment 1.
         let mut next = base.clone();
         let dirty: Vec<usize> = (SEGMENT_NODES + 5..SEGMENT_NODES + 8).collect();
         let shifted: Vec<usize> = dirty.iter().map(|&v| v + 100).collect();
-        let (embed, q, k, v, gs, gd) = block_payload(&shifted);
-        let vals =
-            super::BlockValues { embed: &embed, q: &q, k: &k, v: &v, gate_src: &gs, gate_dst: &gd };
-        next.insert_block(&dirty, 1, 2, &vals);
+        insert_probe_values(&mut next, &dirty, &shifted);
         // Clean segment shared, touched segment copied before the write.
         assert_eq!(next.segment_addr(0), Some(addr0));
         assert_ne!(next.segment_addr(1), Some(addr1));
         let owned_addr = next.segment_addr(1).unwrap();
-        // The previous epoch still reads its own values.
+        // The previous epoch still reads its own values, in every lane.
         for &d in &dirty {
             assert_eq!(base.embed_vec(d), Some(vec![d as f32, 1.0]), "base epoch mutated");
+            assert_eq!(base.proj_vec(d, ProjSlot::Q), Some(vec![(d + 1) as f32, 2.0]));
             assert_eq!(next.embed_vec(d), Some(vec![(d + 100) as f32, 1.0]));
+            assert_eq!(next.proj_vec(d, ProjSlot::Q), Some(vec![(d + 101) as f32, 2.0]));
         }
         // Untouched neighbours in the copied segment carried over.
         let clean = SEGMENT_NODES + 9;
         assert_eq!(next.embed_vec(clean), Some(vec![clean as f32, 1.0]));
+        assert_eq!(next.embed_vec(0), Some(vec![0.0, 1.0]));
         // A second block into the now-owned segment writes in place.
         let more: Vec<usize> = (SEGMENT_NODES + 20..SEGMENT_NODES + 22).collect();
         insert_probe_block(&mut next, &more);
         assert_eq!(next.segment_addr(1), Some(owned_addr), "owned segment re-cloned");
-    }
-
-    #[test]
-    fn insert_block_drops_stale_overlay_shadows() {
-        let mut c = EmbedCache::new();
-        c.insert(3, probe(999));
-        c.insert_proj(3, ProjSlot::Q, probe(998));
-        insert_probe_block(&mut c, &[2, 3, 4]);
-        // The overlay entries would shadow the frozen lanes — insert_block
-        // must have dropped them.
-        assert_eq!(c.embed_vec(3), Some(vec![3.0, 1.0]));
-        assert_eq!(c.proj_vec(3, ProjSlot::Q), Some(vec![4.0, 2.0]));
     }
 
     #[test]
@@ -993,7 +733,7 @@ mod tests {
     #[test]
     fn retain_segments_is_an_arc_bump_slice() {
         let n = SEGMENT_NODES * 3;
-        let master = frozen(n);
+        let master = published(n);
         let slice = master.retain_segments(|seg| seg != 1);
         // Kept segments share the master's allocations verbatim.
         assert_eq!(slice.segment_addr(0), master.segment_addr(0));
@@ -1006,7 +746,7 @@ mod tests {
         assert_eq!(slice.proj_vec(dropped, ProjSlot::Q), None);
         // Kept nodes read the same values as through the master.
         for v in [0, SEGMENT_NODES - 1, SEGMENT_NODES * 2, n - 1] {
-            assert_eq!(embed_of(&slice, v), embed_of(&master, v), "embed {v}");
+            assert_eq!(slice.embed_vec(v), master.embed_vec(v), "embed {v}");
             assert_eq!(slice.proj_vec(v, ProjSlot::Q), master.proj_vec(v, ProjSlot::Q));
         }
         // len() counts only retained nodes; the master is untouched.
@@ -1015,26 +755,24 @@ mod tests {
         // A slice of a copy-on-write republish still shares every clean
         // retained segment with the previous slice.
         let mut next = master.clone();
-        next.insert(SEGMENT_NODES * 2 + 1, probe(12345));
-        let next_slice = next.into_shared().retain_segments(|seg| seg != 1);
+        insert_probe_values(&mut next, &[SEGMENT_NODES * 2 + 1], &[1234]);
+        let next_slice = next.retain_segments(|seg| seg != 1);
         assert_eq!(next_slice.segment_addr(0), slice.segment_addr(0));
         assert_ne!(next_slice.segment_addr(2), slice.segment_addr(2));
     }
 
     #[test]
-    fn empty_and_clear_behave() {
-        let mut c = EmbedCache::new();
+    fn empty_cache_behaves() {
+        let c = EmbedCache::new();
         assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.cached_projections(), 0);
         assert_eq!(c.segment_count(), 0);
         assert_eq!(c.segment_addr(0), None);
-        c.insert(5, probe(5));
-        assert_eq!(c.len(), 1);
-        c.clear();
-        assert!(c.is_empty());
-        let mut f = frozen(4);
-        assert_eq!(f.len(), 4);
-        f.clear();
-        assert!(f.is_empty() && f.segment_count() == 0);
+        assert!(!c.has_embed(0) && !c.has_proj(0, ProjSlot::GateDst));
+        let mut g = Graph::new();
+        assert!(c.embed_constant(&mut g, 0).is_none());
+        assert!(!published(4).is_empty());
     }
 
     #[test]

@@ -155,9 +155,9 @@ impl ConvolutionalAttentionUnit {
     /// [`Self::forward_batched`] drawing Q/K/V from the layer-0 projection
     /// cache: projections of a node's **embedding** depend only on the
     /// parameters, so a cache hit replaces a conv dispatch with a pooled
-    /// copy of the exact tensor that conv would produce (misses compute on
-    /// the tape and populate the cache). Only valid when every partner
-    /// state is the node's embedding `E_v` — i.e. the first ITA layer.
+    /// copy of the exact tensor that conv would produce (a miss computes on
+    /// the tape). Only valid when every partner state is the node's
+    /// embedding `E_v` — i.e. the first ITA layer.
     pub fn forward_batched_cached(
         &self,
         g: &mut Graph,
@@ -165,7 +165,7 @@ impl ConvolutionalAttentionUnit {
         h_u: VarId,
         u_node: usize,
         partners: &[(VarId, usize)],
-        cache: &mut EmbedCache,
+        cache: &EmbedCache,
     ) -> Vec<VarId> {
         assert!(!partners.is_empty(), "forward_batched_cached: no partners");
         let q = proj_cached(g, ps, &self.lq, ProjSlot::Q, h_u, u_node, cache);
@@ -182,23 +182,16 @@ impl ConvolutionalAttentionUnit {
         self.attend_batched(g, q, k, v, partners.len())
     }
 
-    /// Precompute this CAU's Q/K/V projections of `e` (a node's embedding
-    /// on tape `g`) into `cache` — the publish-time half of the cached
-    /// batched dispatch.
+    /// This CAU's Q/K/V projections of `e` (a node's embedding on tape
+    /// `g`) through the unbatched convs — the per-node publish reference
+    /// the batched block driver is checked against.
     pub fn precompute_projections(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
         e: VarId,
-        node: usize,
-        cache: &mut EmbedCache,
-    ) {
-        for (conv, slot) in
-            [(&self.lq, ProjSlot::Q), (&self.lk, ProjSlot::K), (&self.lv, ProjSlot::V)]
-        {
-            let var = conv.forward(g, ps, e);
-            cache.insert_proj(node, slot, g.value(var).clone());
-        }
+    ) -> (VarId, VarId, VarId) {
+        (self.lq.forward(g, ps, e), self.lk.forward(g, ps, e), self.lv.forward(g, ps, e))
     }
 
     /// Batched publish-time half of [`Self::precompute_projections`]: Q/K/V
@@ -221,9 +214,9 @@ impl ConvolutionalAttentionUnit {
 }
 
 /// One layer-0 projection, served from the cache when present or computed
-/// on the tape and inserted. The single cache-or-compute point for every
-/// projection slot (CAU Q/K/V and the ITA gate projections), so hit
-/// semantics can never diverge between paths.
+/// on the tape. The single cache-or-compute point for every projection slot
+/// (CAU Q/K/V and the ITA gate projections), so hit semantics can never
+/// diverge between paths.
 pub(crate) fn proj_cached(
     g: &mut Graph,
     ps: &ParamStore,
@@ -231,14 +224,9 @@ pub(crate) fn proj_cached(
     slot: ProjSlot,
     state: VarId,
     node: usize,
-    cache: &mut EmbedCache,
+    cache: &EmbedCache,
 ) -> VarId {
-    if let Some(var) = cache.proj_constant(g, node, slot) {
-        return var;
-    }
-    let var = conv.forward(g, ps, state);
-    cache.insert_proj(node, slot, g.value(var).clone());
-    var
+    cache.proj_constant(g, node, slot).unwrap_or_else(|| conv.forward(g, ps, state))
 }
 
 #[cfg(test)]

@@ -143,9 +143,9 @@ impl ItaGcnLayer {
     /// node's embedding, so on the first ITA layer (where every state *is*
     /// the embedding `E_v`) they are served from `cache` instead of being
     /// convolved per request — the serving snapshot precomputes them all
-    /// at publish time. Misses compute on the tape and populate the cache;
-    /// hits are pooled copies of the exact tensors those convs produce, so
-    /// values stay bit-identical to [`Self::forward_node`].
+    /// at publish time. Misses compute on the tape; hits are pooled copies
+    /// of the exact tensors those convs produce, so values stay
+    /// bit-identical to [`Self::forward_node`].
     pub fn forward_node_cached(
         &self,
         g: &mut Graph,
@@ -153,7 +153,7 @@ impl ItaGcnLayer {
         h: &[VarId],
         ego: &EgoSubgraph,
         u: usize,
-        cache: &mut EmbedCache,
+        cache: &EmbedCache,
     ) -> VarId {
         self.forward_node_dispatch(g, ps, h, ego, u, Some(cache))
     }
@@ -169,7 +169,7 @@ impl ItaGcnLayer {
         h: &[VarId],
         ego: &EgoSubgraph,
         u: usize,
-        mut cache: Option<&mut EmbedCache>,
+        cache: Option<&EmbedCache>,
     ) -> VarId {
         let neighbors = ego.neighbors(u);
         let u_node = ego.nodes[u] as usize;
@@ -180,7 +180,7 @@ impl ItaGcnLayer {
             .map(|nb| (h[nb.local as usize], ego.nodes[nb.local as usize] as usize))
             .collect();
         partners.push((h[u], u_node));
-        let msgs = match cache.as_deref_mut() {
+        let msgs = match cache {
             Some(cache) => self.cau.forward_batched_cached(g, ps, h[u], u_node, &partners, cache),
             None => {
                 let states: Vec<VarId> = partners.iter().map(|&(state, _)| state).collect();
@@ -265,22 +265,19 @@ impl ItaGcnLayer {
         g.sum_vars(&weighted)
     }
 
-    /// Publish-time precompute of every layer-0 projection of `e` (one
-    /// node's embedding on tape `g`): the CAU's Q/K/V plus the gate's
-    /// source/destination projections.
+    /// Every layer-0 projection of `e` (one node's embedding on tape `g`)
+    /// through the unbatched convs: the CAU's Q/K/V plus the gate's
+    /// source/destination projections — the per-node publish reference.
     pub fn precompute_node_projections(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
         e: VarId,
-        node: usize,
-        cache: &mut EmbedCache,
-    ) {
-        self.cau.precompute_projections(g, ps, e, node, cache);
-        let su = self.l_s.forward(g, ps, e);
-        cache.insert_proj(node, ProjSlot::GateSrc, g.value(su).clone());
-        let dv = self.l_d.forward(g, ps, e);
-        cache.insert_proj(node, ProjSlot::GateDst, g.value(dv).clone());
+    ) -> BlockProjections {
+        let (q, k, v) = self.cau.precompute_projections(g, ps, e);
+        let gate_src = self.l_s.forward(g, ps, e);
+        let gate_dst = self.l_d.forward(g, ps, e);
+        BlockProjections { q, k, v, gate_src, gate_dst }
     }
 
     /// Batched publish-time precompute over a **block** of stacked
@@ -332,9 +329,11 @@ impl ItaGcnLayer {
     }
 }
 
-/// Stacked layer-0 projection nodes from
-/// [`ItaGcnLayer::precompute_block_projections`]: Q/K/V are `[B, T, C]`,
-/// the gate projections `[B, T, 1]`, all on the caller's tape.
+/// Layer-0 projection nodes on the caller's tape. From
+/// [`ItaGcnLayer::precompute_block_projections`] they are stacked — Q/K/V
+/// `[B, T, C]`, the gate projections `[B, T, 1]`; from
+/// [`ItaGcnLayer::precompute_node_projections`] they are one node's
+/// `[T, C]` / `[T, 1]`.
 pub struct BlockProjections {
     /// CAU query projections.
     pub q: VarId,

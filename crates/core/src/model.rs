@@ -1,10 +1,10 @@
 //! The full Gaia model (Fig. 2): FFL → TEL → stacked ITA-GCN → prediction
 //! head with residual connection (Eq. 9).
 
-use crate::api::{inputs, EmbedCache, GraphForecaster};
+use crate::api::{inputs, BlockValues, EmbedCache, GraphForecaster};
 use crate::config::GaiaConfig;
 use crate::ffl::FeatureFusionLayer;
-use crate::ita::{AttentionDetail, ItaGcnLayer};
+use crate::ita::{AttentionDetail, BlockProjections, ItaGcnLayer};
 use crate::tel::TemporalEmbeddingLayer;
 use gaia_graph::{EgoConfig, EgoSubgraph};
 use gaia_nn::{init, Conv1d, ParamId, ParamStore};
@@ -172,7 +172,7 @@ impl Gaia {
         g: &mut Graph,
         ds: &gaia_synth::Dataset,
         ego: &EgoSubgraph,
-        cache: Option<&mut EmbedCache>,
+        cache: Option<&EmbedCache>,
     ) -> (Vec<VarId>, Vec<VarId>) {
         let e = self.embed_locals(g, ds, ego, cache);
         let l_max = self.layers.len();
@@ -192,34 +192,27 @@ impl Gaia {
 
     /// The embedding stage shared by the per-request and batched forward
     /// passes: `E_v` for every local node of `ego`, served from `cache`
-    /// when possible (cache entries are bit-identical to fresh computes).
+    /// when possible (cache entries are bit-identical to fresh computes)
+    /// and computed on the tape otherwise.
     fn embed_locals(
         &self,
         g: &mut Graph,
         ds: &gaia_synth::Dataset,
         ego: &EgoSubgraph,
-        mut cache: Option<&mut EmbedCache>,
+        cache: Option<&EmbedCache>,
     ) -> Vec<VarId> {
-        let n = ego.len();
-        let mut e: Vec<VarId> = Vec::with_capacity(n);
-        for v in 0..n {
-            let node = ego.nodes[v] as usize;
-            // Cached embeddings enter the tape as pooled copies (no clone of
-            // the cache storage, no fresh allocation in steady state).
-            let hit = cache.as_ref().and_then(|c| c.embed_constant(g, node));
-            let var = match hit {
-                Some(var) => var,
-                None => {
-                    let var = self.embed(g, ds, node);
-                    if let Some(c) = cache.as_mut() {
-                        c.insert(node, g.value(var).clone());
-                    }
-                    var
-                }
-            };
-            e.push(var);
-        }
-        e
+        ego.nodes
+            .iter()
+            .map(|&node| {
+                let node = node as usize;
+                // Cached embeddings enter the tape as pooled copies (no
+                // clone of the cache storage, no fresh allocation in
+                // steady state).
+                cache
+                    .and_then(|c| c.embed_constant(g, node))
+                    .unwrap_or_else(|| self.embed(g, ds, node))
+            })
+            .collect()
     }
 
     /// [`Gaia::propagate_with`] dispatching every refreshed node through
@@ -232,9 +225,9 @@ impl Gaia {
         g: &mut Graph,
         ds: &gaia_synth::Dataset,
         ego: &EgoSubgraph,
-        cache: &mut EmbedCache,
+        cache: &EmbedCache,
     ) -> (Vec<VarId>, Vec<VarId>) {
-        let e = self.embed_locals(g, ds, ego, Some(&mut *cache));
+        let e = self.embed_locals(g, ds, ego, Some(cache));
         let l_max = self.layers.len();
         let mut h = e.clone();
         for (li, layer) in self.layers.iter().enumerate() {
@@ -308,24 +301,21 @@ impl Gaia {
         self.precompute_embeddings_batched(ds, PUBLISH_BLOCK)
     }
 
-    /// Reference per-node publish loop: one tape reset and one unbatched
-    /// FFL → TEL forward per node, results staged through the local overlay
-    /// (so callers still need [`EmbedCache::into_shared`]). Kept as the
-    /// bit-exactness reference the publish-parity wall and the bench
-    /// speedup ratios compare the batched driver against.
+    /// Reference per-node publish loop: one tape reset, one unbatched
+    /// FFL → TEL forward and unbatched layer-0 projection convs per node,
+    /// each node inserted as a block of one. Kept as the bit-exactness
+    /// reference the publish-parity wall and the bench speedup ratios
+    /// compare the batched driver against.
     pub fn precompute_embeddings_per_node(&self, ds: &gaia_synth::Dataset) -> EmbedCache {
         let mut cache = EmbedCache::new();
         let mut g = Graph::for_inference();
+        let layer0 = self.layers.first().expect("GaiaConfig::validate requires layers >= 1");
         for node in 0..ds.n {
             g.reset();
             let e = self.embed(&mut g, ds, node);
-            cache.insert(node, g.value(e).clone());
-            // Layer-0 CAU + gate projections are functions of E_v and the
-            // parameters alone — precompute them alongside the embedding
-            // so the batched request path skips those convs entirely.
-            if let Some(layer0) = self.layers.first() {
-                layer0.precompute_node_projections(&mut g, &self.ps, e, node, &mut cache);
-            }
+            let p = layer0.precompute_node_projections(&mut g, &self.ps, e);
+            let (t, c) = (g.value(e).shape()[0], g.value(e).shape()[1]);
+            cache.insert_block(&[node], t, c, &block_values(&g, e, &p));
         }
         cache
     }
@@ -334,15 +324,15 @@ impl Gaia {
     /// each block's input rows into rank-3 tensors and running **one** tape
     /// pass per block through the batched kernels (stacked conv banks, one
     /// stacked GEMM per dense projection), then bulk-inserting the block's
-    /// embeddings + layer-0 projections straight into the frozen segment
+    /// embeddings + layer-0 projections straight into the segment
     /// storage ([`EmbedCache::insert_block`]).
     ///
     /// Determinism contract: every cache entry is a pure function of
     /// `(ds row, parameters)` computed by kernels that are bit-identical
     /// per member to the per-node path, so the result is independent of
     /// block size, chunking, and worker count — [`Gaia::precompute_embeddings_per_node`]
-    /// followed by a freeze yields the same cache (bit-exact on the scalar
-    /// build; the simd/embed-f16 tolerance tiers are measured against it).
+    /// yields the same cache (bit-exact on the scalar build; the
+    /// simd/embed-f16 tolerance tiers are measured against it).
     ///
     /// Parallel-ready: with >1 available core, worker threads take
     /// disjoint node ranges chunked on [`crate::api::SEGMENT_NODES`]
@@ -360,7 +350,7 @@ impl Gaia {
         let ranges = publish_chunks(ds.n, publish_workers(ds.n));
         if ranges.len() <= 1 {
             let mut cache = EmbedCache::new();
-            self.precompute_range(ds, 0..ds.n, block, &mut cache);
+            self.precompute_range(ds, 0..ds.n, block, &mut cache, None);
             return cache;
         }
         let parts: Vec<EmbedCache> = std::thread::scope(|scope| {
@@ -370,7 +360,7 @@ impl Gaia {
                     let range = range.clone();
                     scope.spawn(move || {
                         let mut cache = EmbedCache::new();
-                        self.precompute_range(ds, range, block, &mut cache);
+                        self.precompute_range(ds, range, block, &mut cache, None);
                         cache
                     })
                 })
@@ -385,13 +375,15 @@ impl Gaia {
         cache
     }
 
-    /// Sequential block loop over one node range on one reused tape.
+    /// Sequential block loop over one node range on one reused tape,
+    /// accumulating per-stage wall time into `profile` when given.
     fn precompute_range(
         &self,
         ds: &gaia_synth::Dataset,
         range: std::ops::Range<usize>,
         block: usize,
         cache: &mut EmbedCache,
+        mut profile: Option<&mut PublishStageProfile>,
     ) {
         let mut g = Graph::for_inference();
         let mut nodes: Vec<usize> = Vec::with_capacity(block);
@@ -400,7 +392,7 @@ impl Gaia {
             let hi = (lo + block).min(range.end);
             nodes.clear();
             nodes.extend(lo..hi);
-            self.precompute_block(&mut g, ds, &nodes, cache, None);
+            self.precompute_block(&mut g, ds, &nodes, cache, profile.as_deref_mut());
             lo = hi;
         }
     }
@@ -435,19 +427,8 @@ impl Gaia {
             prof.projection_seconds += t1.elapsed().as_secs_f64();
         }
         let t2 = profile.as_ref().map(|_| std::time::Instant::now());
-        let (t, c) = {
-            let shape = g.value(e).shape();
-            (shape[1], shape[2])
-        };
-        let vals = crate::api::BlockValues {
-            embed: g.value(e).data(),
-            q: g.value(p.q).data(),
-            k: g.value(p.k).data(),
-            v: g.value(p.v).data(),
-            gate_src: g.value(p.gate_src).data(),
-            gate_dst: g.value(p.gate_dst).data(),
-        };
-        cache.insert_block(nodes, t, c, &vals);
+        let (t, c) = (g.value(e).shape()[1], g.value(e).shape()[2]);
+        cache.insert_block(nodes, t, c, &block_values(g, e, &p));
         if let (Some(prof), Some(t2)) = (profile, t2) {
             prof.insert_seconds += t2.elapsed().as_secs_f64();
         }
@@ -465,21 +446,12 @@ impl Gaia {
         assert!(block > 0, "precompute_embeddings_profiled: block size must be positive");
         let mut cache = EmbedCache::new();
         let mut profile = PublishStageProfile::default();
-        let mut g = Graph::for_inference();
-        let mut nodes: Vec<usize> = Vec::with_capacity(block);
-        let mut lo = 0;
-        while lo < ds.n {
-            let hi = (lo + block).min(ds.n);
-            nodes.clear();
-            nodes.extend(lo..hi);
-            self.precompute_block(&mut g, ds, &nodes, &mut cache, Some(&mut profile));
-            lo = hi;
-        }
+        self.precompute_range(ds, 0..ds.n, block, &mut cache, Some(&mut profile));
         (cache, profile)
     }
 
     /// Incremental counterpart of [`Gaia::precompute_embeddings`]: start
-    /// from the previous epoch's frozen cache (an `Arc`-bump clone) and
+    /// from the previous epoch's published cache (an `Arc`-bump clone) and
     /// recompute the embedding + layer-0 projections of `nodes` only —
     /// in publish blocks through the same batched path as the full
     /// publisher, bulk-inserted copy-on-write (a touched segment is cloned
@@ -528,6 +500,19 @@ impl Gaia {
     }
 }
 
+/// The payload slices of an embedding node and its layer-0 projections,
+/// read straight off the publish tape for [`EmbedCache::insert_block`].
+fn block_values<'g>(g: &'g Graph, e: VarId, p: &BlockProjections) -> BlockValues<'g> {
+    BlockValues {
+        embed: g.value(e).data(),
+        q: g.value(p.q).data(),
+        k: g.value(p.k).data(),
+        v: g.value(p.v).data(),
+        gate_src: g.value(p.gate_src).data(),
+        gate_dst: g.value(p.gate_dst).data(),
+    }
+}
+
 impl GraphForecaster for Gaia {
     fn name(&self) -> &str {
         &self.name
@@ -555,7 +540,7 @@ impl GraphForecaster for Gaia {
         g: &mut Graph,
         ds: &gaia_synth::Dataset,
         ego: &EgoSubgraph,
-        cache: &mut EmbedCache,
+        cache: &EmbedCache,
     ) -> VarId {
         let (e, h) = self.propagate_with(g, ds, ego, Some(cache));
         self.head.forward(g, &self.ps, h[0], e[0])
@@ -572,7 +557,7 @@ impl GraphForecaster for Gaia {
         g: &mut Graph,
         ds: &gaia_synth::Dataset,
         egos: &[&EgoSubgraph],
-        cache: &mut EmbedCache,
+        cache: &EmbedCache,
     ) -> Vec<VarId> {
         if egos.is_empty() {
             return Vec::new();
@@ -634,7 +619,7 @@ mod tests {
             let cfg = small_cfg(&ds).with_variant(variant);
             let model = Gaia::new(cfg, 5);
             let batched = model.precompute_embeddings_batched(&ds, 7);
-            let per_node = model.precompute_embeddings_per_node(&ds).into_shared();
+            let per_node = model.precompute_embeddings_per_node(&ds);
             assert_eq!(batched.len(), ds.n);
             for node in 0..ds.n {
                 let label = format!("{variant:?} node {node}");
@@ -708,7 +693,7 @@ mod tests {
         let mut merged: Option<EmbedCache> = None;
         for range in publish_chunks(ds.n, 3) {
             let mut part = EmbedCache::new();
-            model.precompute_range(&ds, range, 12, &mut part);
+            model.precompute_range(&ds, range, 12, &mut part, None);
             match merged.as_mut() {
                 Some(m) => m.merge_disjoint(part),
                 None => merged = Some(part),

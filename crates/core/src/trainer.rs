@@ -6,7 +6,7 @@
 //! threads; the tape-per-example design makes this embarrassingly parallel
 //! because the parameter store is only read during forward/backward.
 
-use crate::api::GraphForecaster;
+use crate::api::{EmbedCache, GraphForecaster};
 use gaia_graph::{extract_ego_into, EgoScratch, EgoSubgraph, EsellerGraph};
 use gaia_nn::{Adam, ParamStore};
 use gaia_synth::Dataset;
@@ -233,15 +233,13 @@ pub struct Prediction {
     pub currency: Vec<f64>,
 }
 
-/// Reusable per-worker inference state: a forward-only autodiff tape, an
-/// ego-extraction workspace and a per-node embedding cache. Holding one
-/// `InferenceScratch` per serving worker (or per predict thread) removes the
-/// per-request tape and BFS allocations from the hot path and reuses node
-/// embeddings across requests — see `gaia_serving`'s `InferenceContext`.
-///
-/// The embedding cache is only valid while the model parameters and dataset
-/// stay fixed; call [`InferenceScratch::clear_embed_cache`] when either
-/// changes (e.g. after a model hot swap).
+/// Reusable per-worker inference state: a forward-only autodiff tape and
+/// the ego-extraction workspaces. Holding one `InferenceScratch` per serving
+/// worker (or per predict thread) removes the per-request tape and BFS
+/// allocations from the hot path — see `gaia_serving`'s `InferenceContext`.
+/// It holds no model- or data-dependent state: the published
+/// [`EmbedCache`] is borrowed per call, so a scratch stays valid across
+/// model hot swaps and republishes.
 #[derive(Default)]
 pub struct InferenceScratch {
     tape: Graph,
@@ -251,42 +249,12 @@ pub struct InferenceScratch {
     /// so a warmed scratch serves any batch up to its high-water size
     /// without fresh allocations.
     ego_batch: Vec<EgoScratch>,
-    cache: crate::api::EmbedCache,
 }
 
 impl InferenceScratch {
-    /// Fresh scratch with a forward-only tape and an empty embedding cache.
+    /// Fresh scratch with a forward-only tape.
     pub fn new() -> Self {
-        Self {
-            tape: Graph::for_inference(),
-            ego: EgoScratch::new(),
-            ego_batch: Vec::new(),
-            cache: Default::default(),
-        }
-    }
-
-    /// Drop all cached node embeddings. Required whenever the model
-    /// parameters or the dataset this scratch is used with change.
-    pub fn clear_embed_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Replace the embedding cache wholesale — used by serving workers to
-    /// install a snapshot's publish-time precomputed embeddings (see
-    /// `Gaia::precompute_embeddings`).
-    pub fn install_embed_cache(&mut self, cache: crate::api::EmbedCache) {
-        self.cache = cache;
-    }
-
-    /// Number of nodes with a cached embedding.
-    pub fn cached_embeddings(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Number of nodes with cached layer-0 projections (the batched
-    /// path's publish-time precompute; see `EmbedCache::proj_constant`).
-    pub fn cached_projections(&self) -> usize {
-        self.cache.cached_projections()
+        Self { tape: Graph::for_inference(), ego: EgoScratch::new(), ego_batch: Vec::new() }
     }
 
     /// Fresh heap buffers the reused tape has ever allocated (pool misses).
@@ -297,8 +265,9 @@ impl InferenceScratch {
     }
 }
 
-/// Predict one centre reusing `scratch`'s tape, ego workspace and embedding
-/// cache. Ego sampling is seeded per node (thread-count invariant) and
+/// Predict one centre reusing `scratch`'s tape and ego workspace, reading
+/// node embeddings from the published `cache` (a miss is computed on the
+/// tape). Ego sampling is seeded per node (thread-count invariant) and
 /// cached embeddings are bit-identical to freshly computed ones, so the
 /// result equals [`predict_nodes`]'s for the same `seed`.
 pub fn predict_one_with<M: GraphForecaster + ?Sized>(
@@ -307,13 +276,14 @@ pub fn predict_one_with<M: GraphForecaster + ?Sized>(
     graph: &EsellerGraph,
     center: usize,
     seed: u64,
+    cache: &EmbedCache,
     scratch: &mut InferenceScratch,
 ) -> Prediction {
     let ego_cfg = model.ego_config();
     let mut rng = StdRng::seed_from_u64(per_node_seed(seed, center));
     let ego = extract_ego_into(graph, center, &ego_cfg, &mut rng, &mut scratch.ego);
     scratch.tape.reset();
-    let pred = model.forward_center_cached(&mut scratch.tape, ds, ego, &mut scratch.cache);
+    let pred = model.forward_center_cached(&mut scratch.tape, ds, ego, cache);
     let t = scratch.tape.value(pred);
     Prediction {
         node: center,
@@ -334,7 +304,7 @@ pub fn predict_one_with<M: GraphForecaster + ?Sized>(
 /// **Parity contract** (pinned by `tests/proptest_invariants.rs` for batch
 /// sizes 1..=16 and by the committed golden fixtures): the result is
 /// element-wise bit-identical to calling [`predict_one_with`] in a loop
-/// with the same `seed` and scratch. A batch of one IS that loop — it
+/// with the same `seed` and cache. A batch of one IS that loop — it
 /// delegates to [`predict_one_with`] directly, so the seed-frozen
 /// `BENCH_*` baselines stay comparable at batch size 1.
 pub fn predict_batch_with<M: GraphForecaster + ?Sized>(
@@ -343,17 +313,18 @@ pub fn predict_batch_with<M: GraphForecaster + ?Sized>(
     graph: &EsellerGraph,
     centers: &[usize],
     seed: u64,
+    cache: &EmbedCache,
     scratch: &mut InferenceScratch,
 ) -> Vec<Prediction> {
     match centers {
         [] => Vec::new(),
-        &[center] => vec![predict_one_with(model, ds, graph, center, seed, scratch)],
+        &[center] => vec![predict_one_with(model, ds, graph, center, seed, cache, scratch)],
         _ => {
             let ego_cfg = model.ego_config();
             if scratch.ego_batch.len() < centers.len() {
                 scratch.ego_batch.resize_with(centers.len(), EgoScratch::new);
             }
-            let InferenceScratch { tape, ego_batch, cache, .. } = scratch;
+            let InferenceScratch { tape, ego_batch, .. } = scratch;
             let egos: Vec<&EgoSubgraph> = ego_batch
                 .iter_mut()
                 .zip(centers)
@@ -383,7 +354,8 @@ pub fn predict_batch_with<M: GraphForecaster + ?Sized>(
     }
 }
 
-/// Predict a set of centres in parallel. Ego sampling is seeded per node so
+/// Predict a set of centres in parallel with no published cache (every
+/// embedding is computed on the tape). Ego sampling is seeded per node so
 /// predictions are reproducible for any thread count. Each worker reuses one
 /// [`InferenceScratch`] across its whole chunk.
 pub fn predict_nodes<M: GraphForecaster + ?Sized>(
@@ -402,10 +374,11 @@ pub fn predict_nodes<M: GraphForecaster + ?Sized>(
             .map(|chunk| {
                 scope.spawn(move || {
                     let mut scratch = InferenceScratch::new();
+                    let empty = EmbedCache::new();
                     chunk
                         .iter()
                         .map(|&center| {
-                            predict_one_with(model, ds, graph, center, seed, &mut scratch)
+                            predict_one_with(model, ds, graph, center, seed, &empty, &mut scratch)
                         })
                         .collect::<Vec<_>>()
                 })
@@ -427,6 +400,9 @@ mod tests {
     use crate::model::Gaia;
     use gaia_graph::EgoConfig;
     use gaia_synth::{generate_dataset, WorldConfig};
+
+    /// No published cache: every embedding is computed on the tape.
+    const EMPTY: EmbedCache = EmbedCache::new();
 
     fn tiny_setup() -> (gaia_synth::World, Dataset, Gaia) {
         let (world, ds) = generate_dataset(WorldConfig::tiny());
@@ -495,7 +471,8 @@ mod tests {
         let batch = predict_nodes(&model, &ds, &world.graph, &nodes, 42, 3);
         let mut scratch = InferenceScratch::new();
         for (i, &node) in nodes.iter().enumerate() {
-            let single = predict_one_with(&model, &ds, &world.graph, node, 42, &mut scratch);
+            let single =
+                predict_one_with(&model, &ds, &world.graph, node, 42, &EMPTY, &mut scratch);
             assert_eq!(single.node, batch[i].node);
             assert_eq!(single.model_space, batch[i].model_space, "scratch reuse diverged");
             assert_eq!(single.currency, batch[i].currency);
@@ -520,11 +497,20 @@ mod tests {
             let mut loop_scratch = InferenceScratch::new();
             let expected: Vec<Prediction> = batch_nodes
                 .iter()
-                .map(|&n| predict_one_with(&model, &ds, &world.graph, n, 42, &mut loop_scratch))
+                .map(|&n| {
+                    predict_one_with(&model, &ds, &world.graph, n, 42, &EMPTY, &mut loop_scratch)
+                })
                 .collect();
             let mut batch_scratch = InferenceScratch::new();
-            let got =
-                predict_batch_with(&model, &ds, &world.graph, batch_nodes, 42, &mut batch_scratch);
+            let got = predict_batch_with(
+                &model,
+                &ds,
+                &world.graph,
+                batch_nodes,
+                42,
+                &EMPTY,
+                &mut batch_scratch,
+            );
             assert_eq!(got.len(), expected.len());
             for (a, b) in got.iter().zip(&expected) {
                 assert_eq!(a.node, b.node);
@@ -538,6 +524,7 @@ mod tests {
             &world.graph,
             &[],
             42,
+            &EMPTY,
             &mut InferenceScratch::new()
         )
         .is_empty());
@@ -553,12 +540,20 @@ mod tests {
         let mut reference = InferenceScratch::new();
         let expected: Vec<Prediction> = nodes
             .iter()
-            .map(|&n| predict_one_with(&model, &ds, &world.graph, n, 7, &mut reference))
+            .map(|&n| predict_one_with(&model, &ds, &world.graph, n, 7, &EMPTY, &mut reference))
             .collect();
         let mut scratch = InferenceScratch::new();
         let mut got = Vec::new();
         for chunk in nodes.chunks(3) {
-            got.extend(predict_batch_with(&model, &ds, &world.graph, chunk, 7, &mut scratch));
+            got.extend(predict_batch_with(
+                &model,
+                &ds,
+                &world.graph,
+                chunk,
+                7,
+                &EMPTY,
+                &mut scratch,
+            ));
         }
         for (a, b) in got.iter().zip(&expected) {
             assert_eq!(a.model_space, b.model_space, "mixed-batch reuse diverged");
@@ -587,20 +582,22 @@ mod tests {
             let expected: Vec<Vec<f32>> = nodes
                 .iter()
                 .map(|&n| {
-                    predict_one_with(&model, &ds, &world.graph, n, 5, &mut loop_scratch).model_space
+                    predict_one_with(&model, &ds, &world.graph, n, 5, &EMPTY, &mut loop_scratch)
+                        .model_space
                 })
                 .collect();
             // Cold batch scratch (exercises the miss → compute paths).
             let mut cold = InferenceScratch::new();
-            let got = predict_batch_with(&model, &ds, &world.graph, &nodes, 5, &mut cold);
+            let got = predict_batch_with(&model, &ds, &world.graph, &nodes, 5, &EMPTY, &mut cold);
             for (a, b) in got.iter().zip(&expected) {
                 assert_eq!(&a.model_space, b, "{variant:?} cold-cache batch diverged");
             }
             // Warm scratch with the publish-time precompute installed
             // (exercises the all-hit paths the serving workers run).
+            let published = model.precompute_embeddings(&ds);
             let mut warm = InferenceScratch::new();
-            warm.install_embed_cache(model.precompute_embeddings(&ds).into_shared());
-            let got = predict_batch_with(&model, &ds, &world.graph, &nodes, 5, &mut warm);
+            let got =
+                predict_batch_with(&model, &ds, &world.graph, &nodes, 5, &published, &mut warm);
             for (a, b) in got.iter().zip(&expected) {
                 // Bitwise on the f32 cache tier; the `embed-f16` tier
                 // quantises the frozen publish-time cache, so the all-hit
@@ -628,11 +625,13 @@ mod tests {
         let (world, ds, model) = tiny_setup();
         let mut scratch = InferenceScratch::new();
         let nodes: Vec<usize> = ds.splits.test.iter().take(4).copied().collect();
-        let first = predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &mut scratch);
-        let _second = predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &mut scratch);
+        let first = predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &EMPTY, &mut scratch);
+        let _second =
+            predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &EMPTY, &mut scratch);
         let warm = scratch.tape_fresh_allocs();
         for _ in 0..5 {
-            let again = predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &mut scratch);
+            let again =
+                predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &EMPTY, &mut scratch);
             for (a, b) in again.iter().zip(&first) {
                 assert_eq!(a.model_space, b.model_space, "steady state changed the answer");
             }
@@ -654,11 +653,11 @@ mod tests {
         let mut scratch = InferenceScratch::new();
         let node = ds.splits.test[0];
         // Warm-up: first pass allocates, and populates the embed cache.
-        let first = predict_one_with(&model, &ds, &world.graph, node, 42, &mut scratch);
-        let _second = predict_one_with(&model, &ds, &world.graph, node, 42, &mut scratch);
+        let first = predict_one_with(&model, &ds, &world.graph, node, 42, &EMPTY, &mut scratch);
+        let _second = predict_one_with(&model, &ds, &world.graph, node, 42, &EMPTY, &mut scratch);
         let warm = scratch.tape_fresh_allocs();
         for _ in 0..5 {
-            let again = predict_one_with(&model, &ds, &world.graph, node, 42, &mut scratch);
+            let again = predict_one_with(&model, &ds, &world.graph, node, 42, &EMPTY, &mut scratch);
             assert_eq!(again.model_space, first.model_space, "steady state changed the answer");
             assert_eq!(
                 scratch.tape_fresh_allocs(),

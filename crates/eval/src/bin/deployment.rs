@@ -47,7 +47,7 @@ fn main() {
     let server =
         std::sync::Arc::new(ModelServer::new(&artifact, world.graph.clone(), ds.clone(), cfg.seed));
     let newcomers = ds.splits.test.clone();
-    let (gaia_preds, stats) = server.predict_many(&newcomers, cfg.train.threads);
+    let (gaia_preds, stats) = server.serve(&newcomers, cfg.train.threads, 1);
     let lt_preds =
         predict_nodes(&logtrans, &ds, &world.graph, &newcomers, cfg.seed, cfg.train.threads);
 

@@ -12,6 +12,7 @@
 
 use crate::offline::ModelArtifact;
 use crate::swap::{Swap, SwapReader};
+use crossbeam::channel::Receiver;
 use gaia_core::trainer::{predict_batch_with, predict_one_with, InferenceScratch, Prediction};
 use gaia_core::{EmbedCache, Gaia, GraphForecaster};
 use gaia_graph::{dirty_closure, EsellerGraph};
@@ -38,7 +39,7 @@ pub struct ModelSnapshot {
     /// The restored model.
     pub model: Gaia,
     /// `E_v` plus layer-0 projections for every node of `ds`, computed at
-    /// publish: workers install this read-only cache instead of each paying
+    /// publish: workers borrow this read-only cache instead of each paying
     /// their own embedding warm-up. Segmented copy-on-write form — a delta
     /// republish shares every clean segment with the previous generation.
     pub embeddings: EmbedCache,
@@ -57,9 +58,7 @@ impl ModelSnapshot {
     ) -> Self {
         let mut model = Gaia::new(artifact.config.clone(), 0);
         model.restore(&artifact.checkpoint).expect("artifact checkpoint must load");
-        // Frozen/shared form: installing into a worker context is an Arc
-        // bump, not a deep copy of every node's tensor.
-        let embeddings = model.precompute_embeddings(&ds).into_shared();
+        let embeddings = model.precompute_embeddings(&ds);
         Self { version: artifact.version, world_rev, model, embeddings, ds, graph }
     }
 }
@@ -90,8 +89,9 @@ pub struct ModelServer {
     seed: u64,
 }
 
-/// Latency/throughput measurement returned by the batch serving paths
-/// ([`ModelServer::predict_many`] and [`ModelServer::serve_stream`]).
+/// Latency/throughput measurement returned by the serve driver
+/// ([`ModelServer::serve`] and
+/// [`ShardedModelServer::serve_sharded`](crate::ShardedModelServer::serve_sharded)).
 ///
 /// Latencies are measured per request **from enqueue** (queue wait plus
 /// service time), so percentile figures reflect what a client would see,
@@ -111,8 +111,9 @@ pub struct ServeStats {
     /// 99th-percentile per-request latency in seconds.
     pub latency_p99: f64,
     /// Requests served by each worker. Length is the number of workers
-    /// actually spawned: the requested count clamped to the request count
-    /// (minimum 1), so small batches report fewer entries than asked for.
+    /// actually spawned: on [`ModelServer::serve`] the requested count
+    /// clamped to the request count (minimum 1), so small batches report
+    /// fewer entries than asked for; one per shard on the sharded fleet.
     /// A heavily skewed distribution indicates a scheduling problem.
     pub per_worker: Vec<usize>,
     /// How many micro-batches of each size the workers drained:
@@ -123,13 +124,13 @@ pub struct ServeStats {
     /// preallocated range saturates into it (see `record_batch_size`)
     /// instead of panicking the worker.
     pub per_batch_size: Vec<usize>,
-    /// Requests attributed to each **home shard** — counted where they
-    /// were served, so the vector sums to `requests` even when a stealing
-    /// worker drained another shard's queue. Empty on the unsharded paths
-    /// ([`ModelServer`] has a single implicit shard).
+    /// Requests attributed to each queue (**home shard**) — counted where
+    /// they were served, so the vector sums to `requests` even when a
+    /// stealing worker drained another shard's queue. One entry per queue:
+    /// `[requests]` on [`ModelServer::serve`], which has a single queue.
     pub per_shard: Vec<usize>,
-    /// Requests served by a worker other than their home shard's pinned
-    /// one (work stealing). Always `0` on the unsharded paths.
+    /// Requests served by a worker whose home queue is not theirs (work
+    /// stealing). Always `0` with a single queue.
     pub stolen: usize,
 }
 
@@ -159,36 +160,30 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Per-worker serving state: a cached snapshot handle (one atomic load per
-/// request to revalidate) plus reusable inference scratch buffers. Create
-/// one per worker thread with [`ModelServer::inference_context`]; the
-/// context is deliberately `!Sync` — it is owned state, never shared.
+/// request to revalidate) plus reusable inference scratch buffers. Each
+/// request borrows the current snapshot's published cache, so a hot swap
+/// or republish costs the context nothing beyond that load. Create one per
+/// worker thread with [`ModelServer::inference_context`]; the context is
+/// deliberately `!Sync` — it is owned state, never shared.
 pub struct InferenceContext<'srv> {
     server: &'srv ModelServer,
     reader: SwapReader<'srv, ModelSnapshot>,
     scratch: InferenceScratch,
     served: usize,
-    /// Snapshot epoch the scratch's embedding cache was built against.
-    cache_epoch: u64,
 }
 
 impl InferenceContext<'_> {
     /// Serve one prediction on the current snapshot, reusing this context's
-    /// scratch buffers. Picks up a newly published model automatically; a
-    /// hot swap invalidates the context's cached node embeddings.
+    /// scratch buffers. Picks up a newly published model automatically.
     pub fn predict(&mut self, shop: usize) -> Prediction {
-        let (snap, epoch) = self.reader.get_with_epoch();
-        if epoch != self.cache_epoch {
-            // New snapshot: drop stale embeddings and install the
-            // publish-time precomputed ones from the snapshot itself.
-            self.scratch.install_embed_cache(snap.embeddings.clone());
-            self.cache_epoch = epoch;
-        }
+        let snap = self.reader.get();
         let pred = predict_one_with(
             &snap.model,
             &snap.ds,
             &snap.graph,
             shop,
             self.server.seed,
+            &snap.embeddings,
             &mut self.scratch,
         );
         self.served += 1;
@@ -201,33 +196,18 @@ impl InferenceContext<'_> {
     /// element-wise identical to calling [`InferenceContext::predict`] per
     /// shop — a batch of one *is* that path.
     pub fn predict_batch(&mut self, shops: &[usize]) -> Vec<Prediction> {
-        let (snap, epoch) = self.reader.get_with_epoch();
-        if epoch != self.cache_epoch {
-            self.scratch.install_embed_cache(snap.embeddings.clone());
-            self.cache_epoch = epoch;
-        }
+        let snap = self.reader.get();
         let preds = predict_batch_with(
             &snap.model,
             &snap.ds,
             &snap.graph,
             shops,
             self.server.seed,
+            &snap.embeddings,
             &mut self.scratch,
         );
         self.served += preds.len();
         preds
-    }
-
-    /// Number of node embeddings currently cached for the served snapshot.
-    pub fn cached_embeddings(&self) -> usize {
-        self.scratch.cached_embeddings()
-    }
-
-    /// Number of nodes with cached layer-0 projections from the served
-    /// snapshot's publish-time precompute (the batched path's conv-free
-    /// fast path; full coverage means no request ever convolves K/V).
-    pub fn cached_projections(&self) -> usize {
-        self.scratch.cached_projections()
     }
 
     /// Fresh tensor buffers this context's reused tape has ever allocated
@@ -326,10 +306,8 @@ impl ModelServer {
                     recompute.insert(pos, v);
                 }
             }
-            let embeddings = prev
-                .model
-                .precompute_embeddings_delta(&ds, &prev.embeddings, &recompute)
-                .into_shared();
+            let embeddings =
+                prev.model.precompute_embeddings_delta(&ds, &prev.embeddings, &recompute);
             stats = DeltaPublishStats {
                 world_nodes: ds.n,
                 dirty_nodes: dirty.len(),
@@ -357,7 +335,7 @@ impl ModelServer {
     pub fn publish_full(&self, world: &World) {
         self.snapshot.update(|prev| {
             let ds = refresh_dataset_full(world, &prev.ds);
-            let embeddings = prev.model.precompute_embeddings(&ds).into_shared();
+            let embeddings = prev.model.precompute_embeddings(&ds);
             Arc::new(ModelSnapshot {
                 version: prev.version,
                 world_rev: prev.world_rev + 1,
@@ -388,11 +366,12 @@ impl ModelServer {
     /// Create a serving context for one worker thread: a cached snapshot
     /// handle plus reusable scratch buffers.
     pub fn inference_context(&self) -> InferenceContext<'_> {
-        let mut reader = self.snapshot.reader();
-        let (snap, cache_epoch) = reader.get_with_epoch();
-        let mut scratch = InferenceScratch::new();
-        scratch.install_embed_cache(snap.embeddings.clone());
-        InferenceContext { server: self, reader, scratch, served: 0, cache_epoch }
+        InferenceContext {
+            server: self,
+            reader: self.snapshot.reader(),
+            scratch: InferenceScratch::new(),
+            served: 0,
+        }
     }
 
     /// Predict one shop (real-time path for a new-coming e-seller: its ego
@@ -402,179 +381,214 @@ impl ModelServer {
         self.inference_context().predict(shop)
     }
 
-    /// The shared worker-pool request path: fan `shops` out over `workers`
-    /// threads through a channel, each worker serving through its own
-    /// [`InferenceContext`]. With `micro_batch > 1` a worker drains up to
-    /// that many queued requests per tape and serves them through one
-    /// packed batched forward pass; `micro_batch == 1` is the exact
-    /// one-request-per-tape-reset path previous PRs benchmarked. Returns
-    /// predictions in request order plus latency/throughput statistics.
-    fn serve_batch(
+    /// Serve `shops` through one queue drained by `workers` threads (the
+    /// count clamped to the request count, minimum 1), each serving
+    /// through its own [`InferenceContext`]: the one-queue case of the
+    /// serve driver the sharded fleet uses. With `micro_batch > 1` a
+    /// worker drains up to that many queued requests per tape and serves
+    /// them through one packed batched forward pass; `micro_batch == 1` is
+    /// the one-request-per-tape-reset path. Predictions come back in
+    /// request order and are element-wise identical for any worker count
+    /// and cap.
+    pub fn serve(
         &self,
         shops: &[usize],
         workers: usize,
         micro_batch: usize,
     ) -> (Vec<Prediction>, ServeStats) {
         let workers = workers.clamp(1, shops.len().max(1));
-        // Clamp like workers: a cap beyond the request count only inflates
-        // the per-batch-size histogram (and a sentinel like usize::MAX
-        // would try to allocate it).
-        let micro_batch = micro_batch.clamp(1, shops.len().max(1));
-        // An empty batch is a zeroed measurement, not a worker spawn: no
-        // threads, no elapsed-time division (throughput stays 0, never
-        // NaN), and the telemetry vectors keep their clamped shapes.
-        if shops.is_empty() {
-            let stats = ServeStats {
-                requests: 0,
-                seconds: 0.0,
-                per_second: 0.0,
-                latency_p50: 0.0,
-                latency_p95: 0.0,
-                latency_p99: 0.0,
-                per_worker: vec![0; workers],
-                per_batch_size: vec![0; micro_batch],
-                per_shard: Vec::new(),
-                stolen: 0,
-            };
-            return (Vec::new(), stats);
-        }
-        let (req_tx, req_rx) = crossbeam::channel::unbounded::<(usize, usize)>();
-        let enqueue = Instant::now();
-        for pair in shops.iter().copied().enumerate() {
-            req_tx.send(pair).expect("queue open");
-        }
-        drop(req_tx);
-        type WorkerDone = (Vec<(usize, Prediction, f64)>, Vec<usize>);
-        let worker_results: Vec<WorkerDone> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let rx = req_rx.clone();
-                    scope.spawn(move || {
-                        let mut ctx = self.inference_context();
-                        let mut done = Vec::new();
-                        let mut batch_sizes = vec![0usize; micro_batch];
-                        let mut slots = Vec::with_capacity(micro_batch);
-                        let mut batch = Vec::with_capacity(micro_batch);
-                        while let Ok((slot, shop)) = rx.recv() {
-                            // Drain whatever is already queued, up to the
-                            // micro-batch cap, and serve it on one tape. A
-                            // cap of 1 never enters the drain loop, and
-                            // predict_batch on a single shop delegates to
-                            // the per-request path — so micro_batch == 1
-                            // IS the exact pre-batching request path
-                            // (asserted by the serving parity tests).
-                            slots.clear();
-                            batch.clear();
-                            slots.push(slot);
-                            batch.push(shop);
-                            while batch.len() < micro_batch {
-                                match rx.try_recv() {
-                                    Ok((s, sh)) => {
-                                        slots.push(s);
-                                        batch.push(sh);
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                            let preds = ctx.predict_batch(&batch);
-                            let finished = enqueue.elapsed().as_secs_f64();
-                            record_batch_size(&mut batch_sizes, batch.len());
-                            for (&s, pred) in slots.iter().zip(preds) {
-                                done.push((s, pred, finished));
-                            }
-                        }
-                        (done, batch_sizes)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("serve worker panicked")).collect()
-        });
-        let seconds = enqueue.elapsed().as_secs_f64();
-
-        let mut preds: Vec<Option<Prediction>> = (0..shops.len()).map(|_| None).collect();
-        let mut latencies = Vec::with_capacity(shops.len());
-        let mut per_worker = Vec::with_capacity(workers);
-        let mut per_batch_size = vec![0usize; micro_batch];
-        for (done, batch_sizes) in worker_results {
-            per_worker.push(done.len());
-            for (size, count) in per_batch_size.iter_mut().zip(batch_sizes) {
-                *size += count;
-            }
-            for (slot, pred, latency) in done {
-                latencies.push(latency);
-                preds[slot] = Some(pred);
-            }
-        }
-        let preds: Vec<Prediction> =
-            preds.into_iter().map(|p| p.expect("every request served")).collect();
-        latencies.sort_by(f64::total_cmp);
-        let stats = ServeStats {
-            requests: shops.len(),
-            seconds,
-            per_second: shops.len() as f64 / seconds.max(1e-9),
-            latency_p50: percentile(&latencies, 0.50),
-            latency_p95: percentile(&latencies, 0.95),
-            latency_p99: percentile(&latencies, 0.99),
-            per_worker,
-            per_batch_size,
-            per_shard: Vec::new(),
-            stolen: 0,
-        };
-        (preds, stats)
-    }
-
-    /// Predict a batch of shops with `workers` threads, returning the
-    /// predictions (in request order) and serving statistics. One request
-    /// per tape reset — the baseline-comparable path; see
-    /// [`ModelServer::predict_many_batched`] for the micro-batched one.
-    pub fn predict_many(&self, shops: &[usize], workers: usize) -> (Vec<Prediction>, ServeStats) {
-        self.serve_batch(shops, workers, 1)
-    }
-
-    /// [`ModelServer::predict_many`] with worker-side micro-batching: each
-    /// worker drains up to `micro_batch` queued requests per tape and
-    /// serves them through one packed forward pass. Predictions are
-    /// element-wise identical to the per-request path for any cap.
-    pub fn predict_many_batched(
-        &self,
-        shops: &[usize],
-        workers: usize,
-        micro_batch: usize,
-    ) -> (Vec<Prediction>, ServeStats) {
-        self.serve_batch(shops, workers, micro_batch)
-    }
-
-    /// Serve a request stream through a channel worker pool — the shape of
-    /// the production request path. Returns predictions in request order and
-    /// per-request latency statistics measured from enqueue.
-    pub fn serve_stream(&self, shops: &[usize], workers: usize) -> (Vec<Prediction>, ServeStats) {
-        self.serve_batch(shops, workers, 1)
-    }
-
-    /// [`ModelServer::serve_stream`] with worker-side micro-batching (see
-    /// [`ModelServer::predict_many_batched`]).
-    pub fn serve_stream_batched(
-        &self,
-        shops: &[usize],
-        workers: usize,
-        micro_batch: usize,
-    ) -> (Vec<Prediction>, ServeStats) {
-        self.serve_batch(shops, workers, micro_batch)
+        dispatch(
+            shops,
+            1,
+            |_| 0,
+            workers,
+            micro_batch,
+            || {
+                let mut ctx = self.inference_context();
+                move |_: usize, batch: &[usize]| ctx.predict_batch(batch)
+            },
+        )
     }
 
     /// Measure inference time as a function of client count — the Section VI
     /// scaling claim ("inference time scales linearly with the number of
     /// clients"). Returns `(clients, seconds)` pairs.
     pub fn scaling_curve(&self, sizes: &[usize], workers: usize) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(sizes.len());
         let n = self.snapshot.load_full().ds.n;
-        for &size in sizes {
-            let shops: Vec<usize> = (0..size).map(|i| i % n).collect();
-            let (_, stats) = self.predict_many(&shops, workers);
-            out.push((size, stats.seconds));
-        }
-        out
+        scaling_curve(n, sizes, |shops| self.serve(shops, workers, 1).1)
     }
+}
+
+/// Time one serve call per client count in `sizes`, each over shops
+/// `0, 1, …` cycling through the `n`-shop world. Returns `(clients,
+/// seconds)` pairs.
+pub(crate) fn scaling_curve(
+    n: usize,
+    sizes: &[usize],
+    mut serve: impl FnMut(&[usize]) -> ServeStats,
+) -> Vec<(usize, f64)> {
+    sizes
+        .iter()
+        .map(|&size| {
+            let shops: Vec<usize> = (0..size).map(|i| i % n).collect();
+            (size, serve(&shops).seconds)
+        })
+        .collect()
+}
+
+/// One queued request: `(slot in the caller's request slice, shop)`.
+pub(crate) type Request = (usize, usize);
+
+/// What one dispatcher worker produced: served requests (slot, prediction,
+/// completion time since enqueue), its micro-batch-size histogram,
+/// requests attributed to each queue, and how many it stole from queues
+/// other than its home queue.
+pub(crate) struct WorkerReport {
+    pub(crate) done: Vec<(usize, Prediction, f64)>,
+    pub(crate) batch_sizes: Vec<usize>,
+    pub(crate) per_queue: Vec<usize>,
+    pub(crate) stolen: usize,
+}
+
+/// Drain loop of dispatcher worker `worker`: exhaust its home queue
+/// (`worker % queues.len()`), then sweep the other queues round-robin and
+/// steal whatever is left. Each micro-batch holds up to `micro_batch`
+/// requests from a single queue and is served by `serve(queue, batch)`, so
+/// stolen work is served exactly as the home worker would serve it. All
+/// requests are enqueued (and every sender dropped) before any worker
+/// starts, so a queue that reports empty stays empty and one sweep serves
+/// everything.
+pub(crate) fn drain_queues(
+    worker: usize,
+    queues: &[Receiver<Request>],
+    micro_batch: usize,
+    enqueue: Instant,
+    mut serve: impl FnMut(usize, &[usize]) -> Vec<Prediction>,
+) -> WorkerReport {
+    let n = queues.len();
+    let mut report = WorkerReport {
+        done: Vec::new(),
+        batch_sizes: vec![0; micro_batch],
+        per_queue: vec![0; n],
+        stolen: 0,
+    };
+    let mut slots = Vec::with_capacity(micro_batch);
+    let mut batch = Vec::with_capacity(micro_batch);
+    for offset in 0..n {
+        let queue = (worker + offset) % n;
+        let rx = &queues[queue];
+        while let Ok((slot, shop)) = rx.try_recv() {
+            // Drain whatever is already queued, up to the cap, and serve it
+            // on one tape. A cap of 1 never enters the drain loop, and a
+            // batch of one shop is the per-request path.
+            slots.clear();
+            batch.clear();
+            slots.push(slot);
+            batch.push(shop);
+            while batch.len() < micro_batch {
+                match rx.try_recv() {
+                    Ok((s, sh)) => {
+                        slots.push(s);
+                        batch.push(sh);
+                    }
+                    Err(_) => break,
+                }
+            }
+            let preds = serve(queue, &batch);
+            let finished = enqueue.elapsed().as_secs_f64();
+            record_batch_size(&mut report.batch_sizes, batch.len());
+            report.per_queue[queue] += preds.len();
+            if offset > 0 {
+                report.stolen += preds.len();
+            }
+            for (&s, pred) in slots.iter().zip(preds) {
+                report.done.push((s, pred, finished));
+            }
+        }
+    }
+    report
+}
+
+/// The serve driver: enqueue every request onto queue `route(shop)` of
+/// `queues`, spawn `workers` threads that each build their serve function
+/// with `worker()` and run [`drain_queues`], then gather predictions in
+/// request order and aggregate the statistics. An empty request slice is a
+/// zeroed measurement, not a worker spawn: no threads, no elapsed-time
+/// division (throughput stays 0, never NaN), and the telemetry vectors
+/// keep their shapes.
+pub(crate) fn dispatch<W>(
+    shops: &[usize],
+    queues: usize,
+    route: impl Fn(usize) -> usize,
+    workers: usize,
+    micro_batch: usize,
+    worker: impl Fn() -> W + Sync,
+) -> (Vec<Prediction>, ServeStats)
+where
+    W: FnMut(usize, &[usize]) -> Vec<Prediction>,
+{
+    // Clamp like the worker count: a cap beyond the request count only
+    // inflates the per-batch-size histogram (and a sentinel like
+    // usize::MAX would try to allocate it).
+    let micro_batch = micro_batch.clamp(1, shops.len().max(1));
+    let mut stats = ServeStats {
+        requests: shops.len(),
+        seconds: 0.0,
+        per_second: 0.0,
+        latency_p50: 0.0,
+        latency_p95: 0.0,
+        latency_p99: 0.0,
+        per_worker: vec![0; workers],
+        per_batch_size: vec![0; micro_batch],
+        per_shard: vec![0; queues],
+        stolen: 0,
+    };
+    if shops.is_empty() {
+        return (Vec::new(), stats);
+    }
+    let channels: Vec<_> =
+        (0..queues).map(|_| crossbeam::channel::unbounded::<Request>()).collect();
+    let enqueue = Instant::now();
+    for (slot, &shop) in shops.iter().enumerate() {
+        channels[route(shop)].0.send((slot, shop)).expect("queue open");
+    }
+    // Drop every sender before a worker starts: an empty queue means done,
+    // so the steal sweep terminates without blocking.
+    let receivers: Vec<_> = channels.into_iter().map(|(_tx, rx)| rx).collect();
+    let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
+        let (receivers, worker) = (&receivers, &worker);
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || drain_queues(w, receivers, micro_batch, enqueue, worker()))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("serve worker panicked")).collect()
+    });
+    stats.seconds = enqueue.elapsed().as_secs_f64();
+    stats.per_second = shops.len() as f64 / stats.seconds.max(1e-9);
+
+    let mut preds: Vec<Option<Prediction>> = (0..shops.len()).map(|_| None).collect();
+    let mut latencies = Vec::with_capacity(shops.len());
+    for (w, report) in reports.into_iter().enumerate() {
+        stats.per_worker[w] = report.done.len();
+        for (total, count) in stats.per_batch_size.iter_mut().zip(report.batch_sizes) {
+            *total += count;
+        }
+        for (total, count) in stats.per_shard.iter_mut().zip(report.per_queue) {
+            *total += count;
+        }
+        stats.stolen += report.stolen;
+        for (slot, pred, latency) in report.done {
+            latencies.push(latency);
+            preds[slot] = Some(pred);
+        }
+    }
+    latencies.sort_by(f64::total_cmp);
+    stats.latency_p50 = percentile(&latencies, 0.50);
+    stats.latency_p95 = percentile(&latencies, 0.95);
+    stats.latency_p99 = percentile(&latencies, 0.99);
+    let preds = preds.into_iter().map(|p| p.expect("every request served")).collect();
+    (preds, stats)
 }
 
 /// Least-squares linearity check for a scaling curve: returns the R² of
@@ -600,7 +614,8 @@ pub fn linearity_r2(curve: &[(usize, f64)]) -> f64 {
     if sxx <= 0.0 || syy <= 0.0 {
         return 1.0;
     }
-    (sxy * sxy) / (sxx * syy)
+    // R² ≤ 1 exactly; rounding in the sums can overshoot by an ulp.
+    ((sxy * sxy) / (sxx * syy)).min(1.0)
 }
 
 #[cfg(test)]
@@ -704,7 +719,7 @@ mod tests {
     fn predict_one_matches_batch() {
         let (server, _, _) = booted_server();
         let single = server.predict_one(3);
-        let (batch, stats) = server.predict_many(&[3], 1);
+        let (batch, stats) = server.serve(&[3], 1, 1);
         assert_eq!(single.currency, batch[0].currency);
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.per_worker, vec![1]);
@@ -744,17 +759,19 @@ mod tests {
     fn precomputed_embeddings_cover_dataset_and_swap_replaces_them() {
         let (server, mut pipeline, world) = booted_server();
         let mut ctx = server.inference_context();
-        let n = server.snapshot().ds.n;
+        let snap = server.snapshot();
+        let n = snap.ds.n;
         // The snapshot's publish-time embeddings and layer-0 projections
-        // are installed up front — batched requests never convolve K/V.
-        assert_eq!(ctx.cached_embeddings(), n, "cache must cover every node");
-        assert_eq!(ctx.cached_projections(), n, "projections must cover every node");
+        // cover every node — batched requests never convolve K/V.
+        assert_eq!(snap.embeddings.len(), n, "cache must cover every node");
+        assert_eq!(snap.embeddings.cached_projections(), n, "projections must cover every node");
         let first = ctx.predict(3);
         // Serving from the precomputed cache must equal a from-scratch
-        // forward pass (no cache ever sees this tape).
+        // forward pass (an empty cache computes every embedding).
         let mut bare = InferenceScratch::new();
-        let snap = server.snapshot();
-        let uncached = predict_one_with(&snap.model, &snap.ds, &snap.graph, 3, 42, &mut bare);
+        let empty = EmbedCache::new();
+        let uncached =
+            predict_one_with(&snap.model, &snap.ds, &snap.graph, 3, 42, &empty, &mut bare);
         assert_pred_matches(&first.model_space, &uncached.model_space, "cached vs uncached");
         // A hot swap replaces the embeddings (stale ones would silently
         // serve the old model's parameters).
@@ -762,7 +779,7 @@ mod tests {
         server.publish(&artifact2);
         let swapped = ctx.predict(3);
         assert_ne!(first.model_space, swapped.model_space);
-        assert_eq!(ctx.cached_embeddings(), n);
+        assert_eq!(server.snapshot().embeddings.len(), n);
         // And the served answer under the new model matches a fresh context.
         let fresh = server.predict_one(3);
         assert_eq!(swapped.model_space, fresh.model_space);
@@ -772,14 +789,16 @@ mod tests {
     fn stream_serving_returns_all_requests_in_order() {
         let (server, _, _) = booted_server();
         let shops: Vec<usize> = (0..20).collect();
-        let (preds, stats) = server.serve_stream(&shops, 4);
+        let (preds, stats) = server.serve(&shops, 4, 1);
         assert_eq!(preds.len(), 20);
         let seen: Vec<usize> = preds.iter().map(|p| p.node).collect();
         assert_eq!(seen, shops, "results must come back in request order");
-        // The stream path reports full stats now.
         assert_eq!(stats.requests, 20);
         assert_eq!(stats.per_worker.len(), 4);
         assert_eq!(stats.per_worker.iter().sum::<usize>(), 20);
+        // One queue: every request is attributed to it, none is stolen.
+        assert_eq!(stats.per_shard, vec![20]);
+        assert_eq!(stats.stolen, 0);
         assert!(stats.latency_p50 > 0.0);
         assert!(stats.latency_p50 <= stats.latency_p95);
         assert!(stats.latency_p95 <= stats.latency_p99);
@@ -790,7 +809,7 @@ mod tests {
     fn stream_matches_direct_prediction() {
         let (server, _, _) = booted_server();
         let direct = server.predict_one(7);
-        let (stream, _) = server.serve_stream(&[7], 2);
+        let (stream, _) = server.serve(&[7], 2, 1);
         assert_eq!(stream[0].currency, direct.currency);
     }
 
@@ -798,8 +817,8 @@ mod tests {
     fn predictions_identical_for_any_worker_count() {
         let (server, _, _) = booted_server();
         let shops: Vec<usize> = (0..12).collect();
-        let (one, _) = server.predict_many(&shops, 1);
-        let (four, _) = server.predict_many(&shops, 4);
+        let (one, _) = server.serve(&shops, 1, 1);
+        let (four, _) = server.serve(&shops, 4, 1);
         for (a, b) in one.iter().zip(&four) {
             assert_eq!(a.node, b.node);
             assert_eq!(a.model_space, b.model_space);
@@ -829,6 +848,8 @@ mod tests {
         assert!((0.0..1.0).contains(&r2), "nonlinear curve got r2 = {r2}");
         let line = vec![(100, 1.0), (200, 2.0), (400, 4.0), (800, 8.0)];
         assert!(linearity_r2(&line) > r2);
+        // Two points whose float sums round R² one ulp above 1.
+        assert_eq!(linearity_r2(&[(6, 0.002365), (18, 0.009458)]), 1.0);
     }
 
     /// `scaling_curve` covers the degenerate single-point sweep and labels
@@ -885,11 +906,11 @@ mod tests {
     fn micro_batched_serving_matches_per_request_exactly() {
         let (server, _, _) = booted_server();
         let shops: Vec<usize> = (0..24).map(|i| i % 10).collect();
-        let (expected, base_stats) = server.predict_many(&shops, 1);
+        let (expected, base_stats) = server.serve(&shops, 1, 1);
         assert_eq!(base_stats.per_batch_size, vec![24], "micro_batch=1 packs singles only");
         for workers in [1usize, 3] {
             for micro_batch in [1usize, 4, 16] {
-                let (got, stats) = server.predict_many_batched(&shops, workers, micro_batch);
+                let (got, stats) = server.serve(&shops, workers, micro_batch);
                 assert_eq!(got.len(), expected.len());
                 for (a, b) in got.iter().zip(&expected) {
                     assert_eq!(a.node, b.node, "order changed at w={workers} mb={micro_batch}");
@@ -904,11 +925,6 @@ mod tests {
                 let served: usize =
                     stats.per_batch_size.iter().enumerate().map(|(i, count)| (i + 1) * count).sum();
                 assert_eq!(served, shops.len(), "batch-size histogram must cover every request");
-                // serve_stream_batched shares the same path.
-                let (streamed, _) = server.serve_stream_batched(&shops, workers, micro_batch);
-                for (a, b) in streamed.iter().zip(&expected) {
-                    assert_pred_matches(&a.model_space, &b.model_space, "streamed batch");
-                }
             }
         }
     }
@@ -961,7 +977,7 @@ mod tests {
     #[test]
     fn empty_batch_yields_empty_stats() {
         let (server, _, _) = booted_server();
-        let (preds, stats) = server.predict_many(&[], 4);
+        let (preds, stats) = server.serve(&[], 4, 1);
         assert!(preds.is_empty());
         assert_eq!(stats.requests, 0);
         assert_eq!(stats.seconds, 0.0);
@@ -972,10 +988,10 @@ mod tests {
         assert_eq!(stats.latency_p99, 0.0);
         assert_eq!(stats.per_worker.iter().sum::<usize>(), 0);
         assert_eq!(stats.per_batch_size.iter().sum::<usize>(), 0);
-        assert!(stats.per_shard.is_empty(), "unsharded path reports no shard attribution");
+        assert_eq!(stats.per_shard, vec![0], "one queue, nothing attributed to it");
         assert_eq!(stats.stolen, 0);
-        // The micro-batched entry point hits the same early return.
-        let (preds, stats) = server.predict_many_batched(&[], 2, 8);
+        // A micro-batch cap hits the same early return.
+        let (preds, stats) = server.serve(&[], 2, 8);
         assert!(preds.is_empty());
         assert_eq!(stats.requests, 0);
         assert!(stats.per_second.is_finite());
@@ -997,11 +1013,16 @@ mod tests {
             let snap =
                 ModelSnapshot::from_artifact(&a, 0, current.ds.clone(), current.graph.clone());
             let mut scratch = InferenceScratch::new();
-            expected.push(
-                predict_one_with(&snap.model, &snap.ds, &snap.graph, 5, 42, &mut scratch)
-                    .model_space
-                    .clone(),
+            let pred = predict_one_with(
+                &snap.model,
+                &snap.ds,
+                &snap.graph,
+                5,
+                42,
+                &snap.embeddings,
+                &mut scratch,
             );
+            expected.push(pred.model_space);
             artifacts.push(a);
         }
         std::thread::scope(|scope| {

@@ -2,13 +2,14 @@
 //!
 //! The unsharded [`ModelServer`] swaps one
 //! global snapshot: any republish — even a delta touching three shops —
-//! forces every worker through a cache reinstall on its next request, and
-//! every worker's embedding cache spans the whole world. This module is the
+//! moves every worker to a new generation on its next request, and the
+//! published embedding cache spans the whole world. This module is the
 //! multi-core story: the shop graph is partitioned into shards keyed by the
 //! **industry bucket** the supply-chain mining groups shops by
 //! ([`gaia_graph::ShardMap`], balanced by shop count), one worker plus its
 //! own [`EmbedCache`] slice is pinned per shard, and requests route
-//! shard-affine through per-shard queues with work-stealing for stragglers.
+//! shard-affine through per-shard queues with work-stealing for stragglers
+//! (the serve driver [`ModelServer::serve`] runs with a single queue).
 //!
 //! Each shard has its own [`Swap`] cell, so publishing one shard — full or
 //! delta — never stalls readers of the others: their epoch does not move
@@ -29,15 +30,15 @@
 //! two-tier wall (bit-exact scalar, 1e-4 relative under simd).
 
 use crate::offline::ModelArtifact;
-use crate::server::DeltaPublishStats;
-use crate::server::{percentile, record_batch_size, ModelServer, ModelSnapshot, ServeStats};
-use crate::swap::{Swap, SwapReader};
+use crate::server::{
+    dispatch, scaling_curve, DeltaPublishStats, ModelServer, ModelSnapshot, ServeStats,
+};
+use crate::swap::Swap;
 use gaia_core::trainer::{predict_batch_with, InferenceScratch, Prediction};
 use gaia_core::{EmbedCache, GraphForecaster};
 use gaia_graph::{dirty_closure, ShardMap};
 use gaia_synth::{Dataset, DirtySet, World};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One shard's published serving generation: the master snapshot it was
 /// cut from (model + feature/graph stores, shared by `Arc` across every
@@ -101,91 +102,6 @@ pub struct ShardedModelServer {
     map: Swap<ShardMap>,
     shards: Vec<Swap<ShardSnapshot>>,
     seed: u64,
-}
-
-/// What one shard worker produced: served requests (slot, prediction,
-/// completion time), its micro-batch-size histogram, requests attributed
-/// to each **home shard**, and how many of those were stolen.
-struct ShardWorkerReport {
-    done: Vec<(usize, Prediction, f64)>,
-    batch_sizes: Vec<usize>,
-    per_shard: Vec<usize>,
-    stolen: usize,
-}
-
-/// Drain loop of one pinned worker: exhaust the own queue (`worker`'s
-/// shard), then sweep the other queues round-robin and steal whatever is
-/// left. Every drained micro-batch comes from a single queue and is served
-/// on **that** shard's snapshot — stolen work produces the home worker's
-/// bits. All requests are enqueued (and every sender dropped) before any
-/// worker starts, so a queue that reports empty stays empty and one sweep
-/// over all queues serves everything.
-///
-/// The scratch's embedding cache is reinstalled only when the served
-/// `(shard, epoch)` changes, so the steady state (no stealing, no publish)
-/// keeps the unsharded path's one-atomic-load revalidation cost.
-fn run_shard_worker(
-    server: &ShardedModelServer,
-    worker: usize,
-    queues: &[crossbeam::channel::Receiver<(usize, usize)>],
-    micro_batch: usize,
-    enqueue: Instant,
-) -> ShardWorkerReport {
-    let n = queues.len();
-    let mut readers: Vec<SwapReader<'_, ShardSnapshot>> =
-        server.shards.iter().map(|cell| cell.reader()).collect();
-    let mut scratch = InferenceScratch::new();
-    let mut installed: Option<(usize, u64)> = None;
-    let mut report = ShardWorkerReport {
-        done: Vec::new(),
-        batch_sizes: vec![0; micro_batch],
-        per_shard: vec![0; n],
-        stolen: 0,
-    };
-    let mut slots = Vec::with_capacity(micro_batch);
-    let mut batch = Vec::with_capacity(micro_batch);
-    for offset in 0..n {
-        let shard = (worker + offset) % n;
-        let rx = &queues[shard];
-        while let Ok((slot, shop)) = rx.try_recv() {
-            slots.clear();
-            batch.clear();
-            slots.push(slot);
-            batch.push(shop);
-            while batch.len() < micro_batch {
-                match rx.try_recv() {
-                    Ok((s, sh)) => {
-                        slots.push(s);
-                        batch.push(sh);
-                    }
-                    Err(_) => break,
-                }
-            }
-            let (snap, epoch) = readers[shard].get_with_epoch();
-            if installed != Some((shard, epoch)) {
-                scratch.install_embed_cache(snap.embeddings.clone());
-                installed = Some((shard, epoch));
-            }
-            let preds = predict_batch_with(
-                &snap.master.model,
-                &snap.master.ds,
-                &snap.master.graph,
-                &batch,
-                server.seed,
-                &mut scratch,
-            );
-            let finished = enqueue.elapsed().as_secs_f64();
-            record_batch_size(&mut report.batch_sizes, batch.len());
-            report.per_shard[shard] += preds.len();
-            if offset > 0 {
-                report.stolen += preds.len();
-            }
-            for (&s, pred) in slots.iter().zip(preds) {
-                report.done.push((s, pred, finished));
-            }
-        }
-    }
-    report
 }
 
 impl ShardedModelServer {
@@ -328,10 +244,9 @@ impl ShardedModelServer {
 
     /// Serve `shops` through the sharded fleet: requests are enqueued onto
     /// their home shard's queue, one worker per shard drains its own queue
-    /// first and then steals from the others (`run_shard_worker`).
-    /// Returns predictions in request order plus statistics with shard
-    /// attribution (`per_shard` sums to `requests`; `stolen` counts
-    /// foreign-queue work).
+    /// first and then steals from the others. Returns predictions in
+    /// request order plus statistics with shard attribution (`per_shard`
+    /// sums to `requests`; `stolen` counts foreign-queue work).
     pub fn serve_sharded(
         &self,
         shops: &[usize],
@@ -339,80 +254,28 @@ impl ShardedModelServer {
     ) -> (Vec<Prediction>, ServeStats) {
         let map = self.map.load_full();
         let n = self.shards.len();
-        let micro_batch = micro_batch.clamp(1, shops.len().max(1));
-        // Mirror the unsharded path: an empty batch is a zeroed
-        // measurement, not a fleet spawn.
-        if shops.is_empty() {
-            let stats = ServeStats {
-                requests: 0,
-                seconds: 0.0,
-                per_second: 0.0,
-                latency_p50: 0.0,
-                latency_p95: 0.0,
-                latency_p99: 0.0,
-                per_worker: vec![0; n],
-                per_batch_size: vec![0; micro_batch],
-                per_shard: vec![0; n],
-                stolen: 0,
-            };
-            return (Vec::new(), stats);
-        }
-        let channels: Vec<_> =
-            (0..n).map(|_| crossbeam::channel::unbounded::<(usize, usize)>()).collect();
-        let enqueue = Instant::now();
-        for (slot, &shop) in shops.iter().enumerate() {
-            channels[map.shard_of(shop)].0.send((slot, shop)).expect("queue open");
-        }
-        // Drop every sender before a worker starts: an empty queue means
-        // done, so the steal sweep terminates without blocking.
-        let queues: Vec<_> = channels.into_iter().map(|(_tx, rx)| rx).collect();
-        let reports: Vec<ShardWorkerReport> = std::thread::scope(|scope| {
-            let queues = &queues;
-            let handles: Vec<_> = (0..n)
-                .map(|w| {
-                    scope.spawn(move || run_shard_worker(self, w, queues, micro_batch, enqueue))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-        });
-        let seconds = enqueue.elapsed().as_secs_f64();
+        dispatch(shops, n, |shop| map.shard_of(shop), n, micro_batch, || self.shard_worker())
+    }
 
-        let mut preds: Vec<Option<Prediction>> = (0..shops.len()).map(|_| None).collect();
-        let mut latencies = Vec::with_capacity(shops.len());
-        let mut per_worker = Vec::with_capacity(n);
-        let mut per_batch_size = vec![0usize; micro_batch];
-        let mut per_shard = vec![0usize; n];
-        let mut stolen = 0;
-        for report in reports {
-            per_worker.push(report.done.len());
-            for (total, count) in per_batch_size.iter_mut().zip(report.batch_sizes) {
-                *total += count;
-            }
-            for (total, count) in per_shard.iter_mut().zip(report.per_shard) {
-                *total += count;
-            }
-            stolen += report.stolen;
-            for (slot, pred, latency) in report.done {
-                latencies.push(latency);
-                preds[slot] = Some(pred);
-            }
+    /// One fleet worker's serve function: a reader per shard cell and one
+    /// reused scratch. A micro-batch drained from queue `shard` is served
+    /// on **that** shard's snapshot and cache slice, so stolen work
+    /// produces the home worker's bits.
+    fn shard_worker(&self) -> impl FnMut(usize, &[usize]) -> Vec<Prediction> + '_ {
+        let mut readers: Vec<_> = self.shards.iter().map(|cell| cell.reader()).collect();
+        let mut scratch = InferenceScratch::new();
+        move |shard, batch| {
+            let snap = readers[shard].get();
+            predict_batch_with(
+                &snap.master.model,
+                &snap.master.ds,
+                &snap.master.graph,
+                batch,
+                self.seed,
+                &snap.embeddings,
+                &mut scratch,
+            )
         }
-        let preds: Vec<Prediction> =
-            preds.into_iter().map(|p| p.expect("every request served")).collect();
-        latencies.sort_by(f64::total_cmp);
-        let stats = ServeStats {
-            requests: shops.len(),
-            seconds,
-            per_second: shops.len() as f64 / seconds.max(1e-9),
-            latency_p50: percentile(&latencies, 0.50),
-            latency_p95: percentile(&latencies, 0.95),
-            latency_p99: percentile(&latencies, 0.99),
-            per_worker,
-            per_batch_size,
-            per_shard,
-            stolen,
-        };
-        (preds, stats)
     }
 
     /// Inference time as a function of client count through the sharded
@@ -422,23 +285,18 @@ impl ShardedModelServer {
     /// `(clients, seconds)` pairs.
     pub fn scaling_curve(&self, sizes: &[usize], micro_batch: usize) -> Vec<(usize, f64)> {
         let n = self.master.snapshot().ds.n;
-        sizes
-            .iter()
-            .map(|&size| {
-                let shops: Vec<usize> = (0..size).map(|i| i % n).collect();
-                let (_, stats) = self.serve_sharded(&shops, micro_batch);
-                (size, stats.seconds)
-            })
-            .collect()
+        scaling_curve(n, sizes, |shops| self.serve_sharded(shops, micro_batch).1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::drain_queues;
     use gaia_core::{Gaia, GaiaConfig};
     use gaia_graph::EgoConfig;
     use gaia_synth::{generate_dataset, MonthlySales, WorldConfig};
+    use std::time::Instant;
 
     /// Untrained-but-deterministic sharded server (the shard walls are
     /// properties of routing and publishing, not of training).
@@ -481,30 +339,72 @@ mod tests {
         }
     }
 
-    /// Every shard's slice covers its members' ego closure (no pinned
-    /// worker can miss the cache), retained segments are the master's
-    /// exact allocations, and routing covers every shop.
-    #[test]
-    fn boot_slices_cover_members_and_share_master_segments() {
-        let (server, _, _) = untrained_sharded(160, 4, 21);
+    /// Cache coverage of the request path: every node of the master
+    /// snapshot carries its embedding and all five layer-0 projection
+    /// slots, and every shard slice covers its members' ego closure on the
+    /// generation it serves, with retained segments the exact allocations
+    /// of that generation's master cache. The request path never stores a
+    /// miss, so full coverage is what keeps it free of FFL/TEL forwards and
+    /// projection convolutions.
+    fn assert_cache_covers_requests(server: &ShardedModelServer) {
+        use gaia_core::ProjSlot;
+        const SLOTS: [ProjSlot; 5] =
+            [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst];
         let map = server.shard_map();
         let master = server.master().snapshot();
         assert_eq!(map.len(), master.ds.n);
+        for v in 0..master.ds.n {
+            assert!(master.embeddings.has_embed(v), "master misses node {v}");
+            for slot in SLOTS {
+                assert!(master.embeddings.has_proj(v, slot), "master misses {slot:?} of {v}");
+            }
+        }
         for s in 0..server.n_shards() {
             let snap = server.shard_snapshot(s);
             assert_eq!(snap.shard, s);
-            let members = map.members(s);
-            let closure = dirty_closure(&master.graph, &members, 1);
+            let hops = snap.master.model.ego_config().hops;
+            let closure = dirty_closure(&snap.master.graph, &map.members(s), hops);
             for &v in &closure {
-                let seg = EmbedCache::segment_of(v as usize);
+                let (v, seg) = (v as usize, EmbedCache::segment_of(v as usize));
                 assert_eq!(
                     snap.embeddings.segment_addr(seg),
-                    master.embeddings.segment_addr(seg),
+                    snap.master.embeddings.segment_addr(seg),
                     "shard {s} segment {seg} must be the master's allocation"
                 );
-                assert!(snap.embeddings.has_embed(v as usize), "shard {s} misses node {v}");
+                assert!(snap.embeddings.has_embed(v), "shard {s} misses node {v}");
+                for slot in SLOTS {
+                    assert!(snap.embeddings.has_proj(v, slot), "shard {s} misses {slot:?} of {v}");
+                }
             }
         }
+    }
+
+    /// Every shard's slice covers its members' ego closure (no pinned
+    /// worker can miss the cache), retained segments are the master's
+    /// exact allocations, and routing covers every shop — at boot and
+    /// after a delta publish that appends a shop.
+    #[test]
+    fn boot_slices_cover_members_and_share_master_segments() {
+        use gaia_synth::{NewShop, Role};
+        let (server, mut world, _) = untrained_sharded(160, 4, 21);
+        assert_cache_covers_requests(&server);
+
+        let horizon = server.master().snapshot().ds.horizon;
+        let window: Vec<MonthlySales> = (0..horizon + 3)
+            .map(|m| MonthlySales { gmv: 7_000.0 + 90.0 * m as f64, orders: 30.0, customers: 12.0 })
+            .collect();
+        world.record_sales(2, &window);
+        world.add_shop(NewShop {
+            industry: world.shops[0].industry,
+            region: world.shops[0].region,
+            role: Role::Retailer,
+            owner: world.shops[0].owner,
+            lead: 0,
+        });
+        let dirty = world.take_dirty();
+        let stats = server.publish_delta(&world, &dirty);
+        assert_eq!(stats.world_nodes, 161, "the appended shop joined the serving world");
+        assert_cache_covers_requests(&server);
     }
 
     /// THE sharded-routing smoke wall at unit scope (the proptest widens it
@@ -517,7 +417,7 @@ mod tests {
         let (server, _, _) = untrained_sharded(160, 4, 21);
         let n = server.master().snapshot().ds.n;
         let shops: Vec<usize> = (0..48).map(|i| (i * 13) % n).collect();
-        let (expected, _) = server.master().predict_many(&shops, 1);
+        let (expected, _) = server.master().serve(&shops, 1, 1);
         for micro_batch in [1usize, 4] {
             let (got, stats) = server.serve_sharded(&shops, micro_batch);
             assert_eq!(got.len(), expected.len());
@@ -550,7 +450,7 @@ mod tests {
     }
 
     /// Deterministic work-stealing attribution: a worker whose own queue is
-    /// empty drains a foreign queue directly through `run_shard_worker`,
+    /// empty drains a foreign queue directly through `drain_queues`,
     /// and every count lands on the **home** shard with `stolen` marking
     /// the foreign work. The stolen predictions are the home snapshot's
     /// bits (served on the victim's slice).
@@ -567,14 +467,14 @@ mod tests {
             channels[1].0.send((slot, shop)).expect("queue open");
         }
         let queues: Vec<_> = channels.into_iter().map(|(_tx, rx)| rx).collect();
-        let report = run_shard_worker(&server, 0, &queues, 2, Instant::now());
+        let report = drain_queues(0, &queues, 2, Instant::now(), server.shard_worker());
         assert_eq!(report.done.len(), victims.len(), "the stealer must drain everything");
         assert_eq!(report.stolen, victims.len(), "all of it was foreign work");
-        assert_eq!(report.per_shard, vec![0, victims.len()], "attribution is by home shard");
+        assert_eq!(report.per_queue, vec![0, victims.len()], "attribution is by home shard");
         let weighted: usize = report.batch_sizes.iter().enumerate().map(|(i, c)| (i + 1) * c).sum();
         assert_eq!(weighted, victims.len());
         // Stolen predictions equal the unsharded reference for those shops.
-        let (expected, _) = server.master().predict_many(&victims, 1);
+        let (expected, _) = server.master().serve(&victims, 1, 1);
         let mut got = report.done;
         got.sort_by_key(|&(slot, _, _)| slot);
         for ((_, pred, _), want) in got.into_iter().zip(&expected) {
@@ -695,7 +595,7 @@ mod tests {
         // else's (their stale-generation snapshots are provably identical).
         let map = server.shard_map();
         let shops: Vec<usize> = (0..world.shops.len()).collect();
-        let (expected, _) = server.master().predict_many(&shops, 1);
+        let (expected, _) = server.master().serve(&shops, 1, 1);
         let (got, stats) = server.serve_sharded(&shops, 4);
         for (a, b) in got.iter().zip(&expected) {
             let what = format!("post-publish shop {} (shard {})", b.node, map.shard_of(b.node));
@@ -744,7 +644,7 @@ mod tests {
         assert_eq!(map.len(), world.shops.len());
         assert_eq!(map.shard_of(newcomer), map.shard_of_key(world.shops[newcomer].industry));
         let (got, _) = server.serve_sharded(&[newcomer, 0, 5], 2);
-        let (want, _) = server.master().predict_many(&[newcomer, 0, 5], 1);
+        let (want, _) = server.master().serve(&[newcomer, 0, 5], 1, 1);
         for (a, b) in got.iter().zip(&want) {
             assert_parity(a, b, "post-growth serving");
         }

@@ -99,13 +99,6 @@ pub struct SwapReader<'a, T> {
 impl<T> SwapReader<'_, T> {
     /// The current snapshot, revalidated against the publisher's epoch.
     pub fn get(&mut self) -> &Arc<T> {
-        self.get_with_epoch().0
-    }
-
-    /// The current snapshot plus the epoch it was read under — callers that
-    /// keep derived state (e.g. an embedding cache) compare the epoch to
-    /// detect a swap without cloning the `Arc`.
-    pub fn get_with_epoch(&mut self) -> (&Arc<T>, u64) {
         let now = self.swap.epoch.load(Ordering::Acquire);
         if now != self.seen_epoch {
             self.cached = self.swap.load_full();
@@ -117,7 +110,7 @@ impl<T> SwapReader<'_, T> {
             // and serve it forever.
             self.seen_epoch = now;
         }
-        (&self.cached, self.seen_epoch)
+        &self.cached
     }
 
     /// The epoch of the snapshot this reader currently caches.

@@ -277,9 +277,11 @@ impl World {
                 });
             }
         }
-        // Same owner / shareholder: clique within each owner cluster.
-        let mut members: std::collections::HashMap<u32, Vec<u32>> =
-            std::collections::HashMap::new();
+        // Same owner / shareholder: clique within each owner cluster, owners
+        // visited in ascending id so the per-pair draws are a function of
+        // the seed alone.
+        let mut members: std::collections::BTreeMap<u32, Vec<u32>> =
+            std::collections::BTreeMap::new();
         for v in 0..n {
             members.entry(shops[v].owner).or_default().push(v as u32);
         }
@@ -450,6 +452,25 @@ mod tests {
         let b = World::generate(WorldConfig::tiny());
         assert_eq!(a.shops[0].gmv, b.shops[0].gmv);
         assert_eq!(a.graph.num_edges(), b.graph.num_edges());
+    }
+
+    /// The whole edge list — endpoints and relationship kinds — is a
+    /// function of the config alone: repeated generations in one process
+    /// agree exactly, including the per-pair same-owner/shareholder draws.
+    #[test]
+    fn generate_is_a_function_of_the_seed() {
+        let sorted_edges = |w: &World| {
+            let mut e: Vec<(u32, u32, usize)> =
+                w.graph.edges().map(|e| (e.src, e.dst, e.ty.feature_index())).collect();
+            e.sort_unstable();
+            e
+        };
+        for config in [WorldConfig::tiny(), WorldConfig { n_shops: 90, ..WorldConfig::tiny() }] {
+            let first = sorted_edges(&World::generate(config.clone()));
+            for _ in 0..4 {
+                assert_eq!(sorted_edges(&World::generate(config.clone())), first);
+            }
+        }
     }
 
     #[test]

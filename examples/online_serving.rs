@@ -29,7 +29,7 @@ fn main() {
     // --- Online: boot the server and serve newcomers ----------------------
     let server = Arc::new(ModelServer::new(&artifact, world.graph.clone(), ds.clone(), 5));
     let newcomers: Vec<usize> = ds.splits.test.iter().take(40).copied().collect();
-    let (preds, stats) = server.serve_stream(&newcomers, 4);
+    let (preds, stats) = server.serve(&newcomers, 4, 1);
     println!(
         "served {} real-time predictions through the worker pool \
          ({:.0}/s, p50 {:.2}ms, p99 {:.2}ms from enqueue)",

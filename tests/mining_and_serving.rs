@@ -110,7 +110,7 @@ fn offline_online_prediction_parity() {
 /// per-worker inference contexts while the offline pipeline publishes new
 /// generations. Every answer must match exactly one published generation
 /// (version and parameters are swapped as one snapshot — a torn read would
-/// match none), and the stream path must report coherent latency stats.
+/// match none), and the serve driver must report coherent latency stats.
 #[test]
 fn serving_survives_hot_swap_under_stream_load() {
     let (world, ds0) = generate_dataset(WorldConfig::tiny());
@@ -164,9 +164,9 @@ fn serving_survives_hot_swap_under_stream_load() {
     assert_eq!(server.version(), 2);
 
     // After the dust settles, a fresh context serves generation 2 and the
-    // stream path reports per-request latency stats measured from enqueue.
+    // serve driver reports per-request latency stats measured from enqueue.
     let shops: Vec<usize> = (0..30).map(|i| i % 10).collect();
-    let (preds, stats) = server.serve_stream(&shops, 3);
+    let (preds, stats) = server.serve(&shops, 3, 1);
     assert_eq!(preds.len(), shops.len());
     assert_eq!(preds[probe].node, probe, "results come back in request order");
     assert!(parity(&preds[probe].model_space, &expected[1]), "served answer matches generation 2");

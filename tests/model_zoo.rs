@@ -3,6 +3,7 @@
 //! the same dataset.
 
 use gaia_core::trainer::{predict_batch_with, predict_nodes, train, InferenceScratch, TrainConfig};
+use gaia_core::EmbedCache;
 use gaia_eval::{build_model, ModelKind};
 use gaia_synth::{generate_dataset, WorldConfig};
 use std::fmt::Write as _;
@@ -146,7 +147,9 @@ fn render_golden() -> String {
         let preds = predict_nodes(&*model, &ds, &world.graph, &nodes, 11, 2);
         // The batched path must produce the same bits (parity contract).
         let mut scratch = InferenceScratch::new();
-        let batched = predict_batch_with(&*model, &ds, &world.graph, &nodes, 11, &mut scratch);
+        let empty = EmbedCache::new();
+        let batched =
+            predict_batch_with(&*model, &ds, &world.graph, &nodes, 11, &empty, &mut scratch);
         for (p, b) in preds.iter().zip(&batched) {
             assert_eq!(
                 p.model_space, b.model_space,

@@ -3,7 +3,7 @@
 
 use gaia_core::half::{f16_to_f32, f32_to_f16};
 use gaia_core::trainer::{predict_batch_with, predict_one_with, InferenceScratch};
-use gaia_core::{Gaia, GaiaConfig, ProjSlot};
+use gaia_core::{EmbedCache, Gaia, GaiaConfig, ProjSlot};
 use gaia_graph::{extract_ego, Edge, EdgeType, EgoConfig, EsellerGraph};
 use gaia_serving::{ModelArtifact, ModelServer, ShardedModelServer};
 use gaia_synth::{
@@ -611,14 +611,19 @@ proptest! {
         let model = Gaia::new(cfg, world_seed ^ 0x5A5A);
         let centers: Vec<usize> = (0..batch).map(|i| (i * 7 + 3) % ds.n).collect();
 
+        let empty = EmbedCache::new();
         let mut loop_scratch = InferenceScratch::new();
         let expected: Vec<_> = centers
             .iter()
-            .map(|&c| predict_one_with(&model, &ds, &world.graph, c, pred_seed, &mut loop_scratch))
+            .map(|&c| {
+                predict_one_with(&model, &ds, &world.graph, c, pred_seed, &empty, &mut loop_scratch)
+            })
             .collect();
         let mut batch_scratch = InferenceScratch::new();
-        let got =
-            predict_batch_with(&model, &ds, &world.graph, &centers, pred_seed, &mut batch_scratch);
+        let predict_batch = |scratch: &mut InferenceScratch| {
+            predict_batch_with(&model, &ds, &world.graph, &centers, pred_seed, &empty, scratch)
+        };
+        let got = predict_batch(&mut batch_scratch);
         prop_assert_eq!(got.len(), expected.len());
         for (a, b) in got.iter().zip(&expected) {
             prop_assert_eq!(a.node, b.node);
@@ -627,11 +632,10 @@ proptest! {
             prop_assert_eq!(&a.currency, &b.currency);
         }
         // A second pass on the same (now warm) scratch must still agree —
-        // cache hits may never change a prediction.
-        let again =
-            predict_batch_with(&model, &ds, &world.graph, &centers, pred_seed, &mut batch_scratch);
+        // reused tape buffers may never change a prediction.
+        let again = predict_batch(&mut batch_scratch);
         for (a, b) in again.iter().zip(&expected) {
-            prop_assert_eq!(&a.model_space, &b.model_space, "warm-cache batch diverged");
+            prop_assert_eq!(&a.model_space, &b.model_space, "warm-scratch batch diverged");
         }
     }
 
@@ -736,7 +740,7 @@ proptest! {
         let model = Gaia::new(cfg, world_seed ^ 0xB10C);
 
         let batched = model.precompute_embeddings_batched(&ds, block);
-        let reference = model.precompute_embeddings_per_node(&ds).into_shared();
+        let reference = model.precompute_embeddings_per_node(&ds);
 
         const SLOTS: [ProjSlot; 5] =
             [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst];
@@ -823,7 +827,7 @@ proptest! {
         let check_world = |server: &ShardedModelServer, phase: &str| {
             let n = server.master().snapshot().ds.n;
             let shops: Vec<usize> = (0..n).collect();
-            let (want, _) = server.master().predict_many(&shops, 1);
+            let (want, _) = server.master().serve(&shops, 1, 1);
             let (got, stats) = server.serve_sharded(&shops, micro_batch);
             if got.len() != want.len() {
                 return Err(TestCaseError::fail(format!("{phase}: length mismatch")));
