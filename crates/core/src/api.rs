@@ -29,10 +29,14 @@ pub enum ProjSlot {
 }
 
 /// Nodes per copy-on-write cache segment (see [`EmbedCache`]): contiguous
-/// node-id ranges `[k·64, (k+1)·64)` share one `Arc`'d chunk, so an
-/// incremental republish re-allocates only the chunks a dirty node lands in.
-/// Must stay 64: segment presence masks are one `u64` bit per node.
-pub const SEGMENT_NODES: usize = 64;
+/// node-id ranges `[k·SEGMENT_NODES, (k+1)·SEGMENT_NODES)` share one
+/// `Arc`'d chunk, so an incremental republish re-allocates only the chunks
+/// a dirty node lands in. The same granularity as the dataset's row chunks
+/// (the constant is defined next to them, in `gaia_synth`).
+pub use gaia_synth::SEGMENT_NODES;
+
+// Segment presence masks are one `u64` bit per node.
+const _: () = assert!(SEGMENT_NODES <= 64);
 
 /// Element type of the frozen cache blocks: raw `f32` by default, IEEE 754
 /// binary16 bits under the opt-in `embed-f16` feature (half the resident
@@ -262,6 +266,33 @@ impl EmbedCache {
             .iter()
             .flatten()
             .map(|seg| seg.proj_masks.iter().fold(0u64, |acc, &m| acc | m).count_ones() as usize)
+            .sum()
+    }
+
+    /// Payload bytes of one segment block at this cache's dims
+    /// (`SEGMENT_NODES` nodes' embedding and projection lanes): the unit a
+    /// copy-on-write republish copies per touched segment. Zero before the
+    /// first write fixes the dims.
+    pub fn segment_bytes(&self) -> usize {
+        self.dims.map_or(0, |(t, c)| {
+            SEGMENT_NODES * node_stride(t, c) * std::mem::size_of::<CacheElem>()
+        })
+    }
+
+    /// Payload bytes of the segments this cache holds in allocations of its
+    /// own rather than shared with `prev` (compared by address, slot by
+    /// slot): what a copy-on-write republish from `prev` copied or
+    /// allocated.
+    pub fn unshared_bytes(&self, prev: &EmbedCache) -> usize {
+        self.segments
+            .iter()
+            .enumerate()
+            .filter_map(|(k, seg)| {
+                let seg = seg.as_ref()?;
+                let shared = prev.segments.get(k).and_then(|p| p.as_ref());
+                let copied = shared.is_none_or(|p| !std::sync::Arc::ptr_eq(seg, p));
+                copied.then(|| seg.data.len() * std::mem::size_of::<CacheElem>())
+            })
             .sum()
     }
 
@@ -675,15 +706,19 @@ mod tests {
         let base = published(SEGMENT_NODES * 2);
         let addr0 = base.segment_addr(0).unwrap();
         let addr1 = base.segment_addr(1).unwrap();
-        // Next epoch: clone (Arc bumps), rewrite three nodes of segment 1.
+        // Next epoch: clone (Arc bumps), rewrite two nodes of segment 1.
         let mut next = base.clone();
-        let dirty: Vec<usize> = (SEGMENT_NODES + 5..SEGMENT_NODES + 8).collect();
+        let dirty: Vec<usize> = (SEGMENT_NODES + 1..SEGMENT_NODES + 3).collect();
         let shifted: Vec<usize> = dirty.iter().map(|&v| v + 100).collect();
+        // Every probe below sits inside segment 1, whatever SEGMENT_NODES is.
+        assert!((SEGMENT_NODES + 1..SEGMENT_NODES + 7).all(|v| EmbedCache::segment_of(v) == 1));
         insert_probe_values(&mut next, &dirty, &shifted);
         // Clean segment shared, touched segment copied before the write.
         assert_eq!(next.segment_addr(0), Some(addr0));
         assert_ne!(next.segment_addr(1), Some(addr1));
         let owned_addr = next.segment_addr(1).unwrap();
+        assert_eq!(next.unshared_bytes(&base), next.segment_bytes());
+        assert_eq!(base.unshared_bytes(&base.clone()), 0);
         // The previous epoch still reads its own values, in every lane.
         for &d in &dirty {
             assert_eq!(base.embed_vec(d), Some(vec![d as f32, 1.0]), "base epoch mutated");
@@ -692,11 +727,11 @@ mod tests {
             assert_eq!(next.proj_vec(d, ProjSlot::Q), Some(vec![(d + 101) as f32, 2.0]));
         }
         // Untouched neighbours in the copied segment carried over.
-        let clean = SEGMENT_NODES + 9;
+        let clean = SEGMENT_NODES + 4;
         assert_eq!(next.embed_vec(clean), Some(vec![clean as f32, 1.0]));
         assert_eq!(next.embed_vec(0), Some(vec![0.0, 1.0]));
         // A second block into the now-owned segment writes in place.
-        let more: Vec<usize> = (SEGMENT_NODES + 20..SEGMENT_NODES + 22).collect();
+        let more: Vec<usize> = (SEGMENT_NODES + 5..SEGMENT_NODES + 7).collect();
         insert_probe_block(&mut next, &more);
         assert_eq!(next.segment_addr(1), Some(owned_addr), "owned segment re-cloned");
     }

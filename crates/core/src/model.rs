@@ -78,8 +78,8 @@ pub const PUBLISH_BLOCK: usize = 32;
 /// Worker threads for a full publish over `n` nodes: the available
 /// parallelism, capped so every worker owns at least one whole cache
 /// segment (workers write disjoint segments — see
-/// [`Gaia::precompute_embeddings_batched`]). Exactly 1 on today's
-/// single-core containers.
+/// [`Gaia::precompute_embeddings_batched`]). Honours the affinity mask
+/// (`taskset`), so a process pinned to one core publishes sequentially.
 fn publish_workers(n: usize) -> usize {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     cores.min(n.div_ceil(crate::api::SEGMENT_NODES)).max(1)
@@ -338,9 +338,9 @@ impl Gaia {
     /// disjoint node ranges chunked on [`crate::api::SEGMENT_NODES`]
     /// boundaries — each worker owns whole cache segments, so the merge is
     /// a move of disjoint `Arc`s ([`EmbedCache::merge_disjoint`]) and no
-    /// two workers ever write one segment. On today's single-core
-    /// containers the scoped-thread pool degenerates to the sequential
-    /// loop.
+    /// two workers ever write one segment. With one available core (or a
+    /// world smaller than two segments) the scoped-thread pool degenerates
+    /// to the sequential loop.
     pub fn precompute_embeddings_batched(
         &self,
         ds: &gaia_synth::Dataset,

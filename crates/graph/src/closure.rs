@@ -23,33 +23,33 @@ use crate::graph::EsellerGraph;
 pub fn dirty_closure(graph: &EsellerGraph, dirty: &[u32], radius: usize) -> Vec<u32> {
     let n = graph.num_nodes();
     let mut seen = vec![false; n];
-    let mut frontier: Vec<u32> = Vec::new();
+    // Every visited node, in visit order: the output is this list sorted,
+    // so the cost is O(closure) past the `seen` allocation, not an n-long
+    // scan.
+    let mut out: Vec<u32> = Vec::new();
     for &d in dirty {
         let d_us = d as usize;
         if d_us < n && !seen[d_us] {
             seen[d_us] = true;
-            frontier.push(d);
+            out.push(d);
         }
     }
-    let mut next: Vec<u32> = Vec::new();
+    let mut frontier = 0..out.len();
     for _hop in 0..radius {
         if frontier.is_empty() {
             break;
         }
-        next.clear();
-        for &node in &frontier {
-            for nb in graph.neighbors(node as usize) {
+        for i in frontier.clone() {
+            for nb in graph.neighbors(out[i] as usize) {
                 let v = nb.node as usize;
                 if !seen[v] {
                     seen[v] = true;
-                    next.push(nb.node);
+                    out.push(nb.node);
                 }
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
+        frontier = frontier.end..out.len();
     }
-    let mut out: Vec<u32> =
-        seen.iter().enumerate().filter_map(|(i, &s)| s.then_some(i as u32)).collect();
     out.sort_unstable();
     out
 }

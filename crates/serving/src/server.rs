@@ -45,8 +45,9 @@ pub struct ModelSnapshot {
     pub embeddings: EmbedCache,
     /// The serving dataset this generation's embeddings were computed from.
     pub ds: Dataset,
-    /// The e-seller graph requests draw ego subgraphs from.
-    pub graph: EsellerGraph,
+    /// The e-seller graph requests draw ego subgraphs from — the world's
+    /// own `Arc`, shared rather than copied.
+    pub graph: Arc<EsellerGraph>,
 }
 
 impl ModelSnapshot {
@@ -54,7 +55,7 @@ impl ModelSnapshot {
         artifact: &ModelArtifact,
         world_rev: u64,
         ds: Dataset,
-        graph: EsellerGraph,
+        graph: Arc<EsellerGraph>,
     ) -> Self {
         let mut model = Gaia::new(artifact.config.clone(), 0);
         model.restore(&artifact.checkpoint).expect("artifact checkpoint must load");
@@ -63,8 +64,8 @@ impl ModelSnapshot {
     }
 }
 
-/// What one [`ModelServer::publish_delta`] actually recomputed — the
-/// O(dirty·ego) claim made observable (and benchmarkable) per publish.
+/// What one [`ModelServer::publish_delta`] actually recomputed and copied —
+/// the O(churn) claim made observable (and benchmarkable) per publish.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct DeltaPublishStats {
     /// Nodes in the world after the republish.
@@ -80,6 +81,11 @@ pub struct DeltaPublishStats {
     /// keep their cached embeddings (same inputs + deterministic kernels
     /// = same bits), so this is O(changed), not O(closure).
     pub recomputed_nodes: usize,
+    /// Bytes of cache segments and dataset row chunks the republish newly
+    /// allocated, found by comparing each slot's address with the previous
+    /// generation's. At most one segment and one chunk per recomputed node;
+    /// everything else is shared.
+    pub cloned_bytes: usize,
 }
 
 /// Online model server holding the published serving generation (model +
@@ -241,9 +247,10 @@ impl InferenceContext<'_> {
 }
 
 impl ModelServer {
-    /// Boot a server from a published artifact and the online stores. Node
-    /// embeddings for the whole dataset are precomputed into the snapshot.
-    pub fn new(artifact: &ModelArtifact, graph: EsellerGraph, ds: Dataset, seed: u64) -> Self {
+    /// Boot a server from a published artifact and the online stores (the
+    /// graph as the world's shared `Arc`). Node embeddings for the whole
+    /// dataset are precomputed into the snapshot.
+    pub fn new(artifact: &ModelArtifact, graph: Arc<EsellerGraph>, ds: Dataset, seed: u64) -> Self {
         let snapshot = Swap::new(Arc::new(ModelSnapshot::from_artifact(artifact, 0, ds, graph)));
         Self { snapshot, seed }
     }
@@ -259,7 +266,7 @@ impl ModelServer {
                 artifact,
                 prev.world_rev,
                 prev.ds.clone(),
-                prev.graph.clone(),
+                Arc::clone(&prev.graph),
             ))
         });
     }
@@ -269,9 +276,11 @@ impl ModelServer {
     /// embeddings + layer-0 projections for the members of the dirty set's
     /// **ego-radius closure** (radius = the served model's ego hops, walked
     /// on the post-mutation graph) whose refreshed rows actually moved, and
-    /// publish a snapshot that shares every clean cache segment with the
-    /// previous generation — O(dirty·ego) allocation and compute instead of
-    /// the O(world) teardown of [`ModelServer::publish_full`].
+    /// publish a snapshot that shares every clean cache segment, every
+    /// clean dataset row chunk and the world's graph with the previous
+    /// generation — O(dirty·ego) allocation and compute instead of the
+    /// O(world) teardown of [`ModelServer::publish_full`]
+    /// ([`DeltaPublishStats::cloned_bytes`] measures the allocation).
     ///
     /// The model is carried over unchanged (republish ≠ retrain); the
     /// delta-vs-full parity wall proves served predictions are identical to
@@ -279,11 +288,29 @@ impl ModelServer {
     /// [`Swap::update`], so concurrent publishers serialise and no delta is
     /// lost. Returns what was actually recomputed.
     pub fn publish_delta(&self, world: &World, dirty: &DirtySet) -> DeltaPublishStats {
+        self.publish_delta_closure(world, dirty).0
+    }
+
+    /// [`ModelServer::publish_delta`], also returning the ego-radius
+    /// closure it walked (seeded by `dirty` plus every appended node), so
+    /// the sharded fleet can pick the shards to reslice without a second
+    /// walk.
+    pub(crate) fn publish_delta_closure(
+        &self,
+        world: &World,
+        dirty: &DirtySet,
+    ) -> (DeltaPublishStats, Vec<u32>) {
         let mut stats = DeltaPublishStats::default();
+        let mut closure = Vec::new();
         self.snapshot.update(|prev| {
             let ds = refresh_dataset(world, &prev.ds, dirty.nodes());
             let radius = prev.model.ego_config().hops;
-            let closure = dirty_closure(&world.graph, dirty.nodes(), radius);
+            // Nodes appended since the previous generation are always new
+            // work, whether or not the caller remembered to mark them.
+            let appended = prev.ds.n as u32..ds.n as u32;
+            let mut seeds = dirty.nodes().to_vec();
+            seeds.extend(appended.clone());
+            closure = dirty_closure(&world.graph, &seeds, radius);
             // The closure is the correctness boundary, but embeddings and
             // layer-0 projections are pure functions of a node's feature
             // row, and the refresh rewrote only the dirty rows — so closure
@@ -292,20 +319,13 @@ impl ModelServer {
             // kernels = same bits). A marked-but-unmoved node (e.g. an edge
             // endpoint whose features carry no degree) costs a row compare,
             // not a forward pass.
-            let mut recompute: Vec<u32> = closure
+            let recompute: Vec<u32> = closure
                 .iter()
                 .copied()
                 .filter(|&v| {
-                    (v as usize) < prev.ds.n && !node_row_unchanged(&ds, &prev.ds, v as usize)
+                    appended.contains(&v) || !node_row_unchanged(&ds, &prev.ds, v as usize)
                 })
                 .collect();
-            // Nodes appended since the previous generation are always new
-            // work, whether or not the caller remembered to mark them.
-            for v in prev.ds.n as u32..ds.n as u32 {
-                if let Err(pos) = recompute.binary_search(&v) {
-                    recompute.insert(pos, v);
-                }
-            }
             let embeddings =
                 prev.model.precompute_embeddings_delta(&ds, &prev.embeddings, &recompute);
             stats = DeltaPublishStats {
@@ -313,6 +333,8 @@ impl ModelServer {
                 dirty_nodes: dirty.len(),
                 closure_nodes: closure.len(),
                 recomputed_nodes: recompute.len(),
+                cloned_bytes: embeddings.unshared_bytes(&prev.embeddings)
+                    + ds.unshared_bytes(&prev.ds),
             };
             Arc::new(ModelSnapshot {
                 version: prev.version,
@@ -320,10 +342,10 @@ impl ModelServer {
                 model: prev.model.clone(),
                 embeddings,
                 ds,
-                graph: world.graph.clone(),
+                graph: Arc::clone(&world.graph),
             })
         });
-        stats
+        (stats, closure)
     }
 
     /// Full-teardown republish under world churn: refresh **every** feature
@@ -342,7 +364,7 @@ impl ModelServer {
                 model: prev.model.clone(),
                 embeddings,
                 ds,
-                graph: world.graph.clone(),
+                graph: Arc::clone(&world.graph),
             })
         });
     }
@@ -1199,6 +1221,7 @@ mod tests {
         assert_eq!(stats.dirty_nodes, 0);
         assert_eq!(stats.closure_nodes, 0);
         assert_eq!(stats.recomputed_nodes, 0);
+        assert_eq!(stats.cloned_bytes, 0, "a no-op republish copies nothing");
 
         let after = server.snapshot();
         assert_eq!(after.world_rev, 1);
@@ -1218,10 +1241,11 @@ mod tests {
     }
 
     /// A small dirty set rebuilds only the segments its ego closure
-    /// touches: every other segment of the published cache is shared by
-    /// `Arc` with the previous generation (O(dirty·ego) allocation, not
-    /// O(world)), and shops outside the closure keep serving bit-identical
-    /// predictions on both builds.
+    /// touches: every other segment of the published cache, every other
+    /// dataset row chunk and the graph are shared by `Arc` with the
+    /// previous generation (O(dirty·ego) allocation, not O(world)), and
+    /// shops outside the closure keep serving bit-identical predictions on
+    /// both builds.
     #[test]
     fn delta_republish_shares_clean_segments() {
         use gaia_synth::MonthlySales;
@@ -1258,6 +1282,12 @@ mod tests {
                 assert_eq!(b, a, "clean segment {seg} must be shared, not copied");
             }
         }
+        assert_eq!(
+            stats.cloned_bytes,
+            after.embeddings.segment_bytes() + after.ds.chunk_bytes(),
+            "exactly one segment and one row chunk copied"
+        );
+        assert!(Arc::ptr_eq(&after.graph, &world.graph), "the graph is shared, not copied");
         // Any shop outside the closure has an unchanged feature row AND an
         // ego subgraph disjoint from the mutation (the closure is the
         // ego-radius ball), so its served bits must not move at all.

@@ -18,7 +18,12 @@
 //! shards whose members intersect the dirty set's ego-radius closure — the
 //! same boundary the delta-vs-full parity wall proves sufficient, because a
 //! member farther than `hops` from every dirty node has a bit-identical
-//! feature row and an ego subgraph disjoint from the mutation.
+//! feature row and an ego subgraph disjoint from the mutation. It builds
+//! the new slice from the previous one, walking only the egos of the
+//! members the churn reached. Those ego walks are O(churn); the rest is
+//! not: per affected shard, the keep-set and `retain_segments` are one
+//! pass over all `n / SEGMENT_NODES` segments of the world, and the
+//! closure walk allocates an `n`-long visited mark.
 //!
 //! Parity: a shard's slice retains every cache segment covering its
 //! members' ego closure, so a pinned worker never misses the cache — even
@@ -69,17 +74,33 @@ impl ShardSnapshot {
     }
 }
 
-/// Cut shard `shard`'s slice from a master generation: retain exactly the
-/// cache segments covering the members' ego-radius closure. Pure `Arc`
-/// bumps — a retained segment is the **same allocation** as the master's
-/// (and as the previous generation's, when the master republish left it
-/// clean), which is what the per-shard-publish isolation tests observe.
-fn slice_shard(master: &Arc<ModelSnapshot>, map: &ShardMap, shard: usize) -> ShardSnapshot {
-    let members = map.members(shard);
+/// Cut shard `shard`'s slice from a master generation: retain the cache
+/// segments covering the ego-radius closure of `members`, plus every
+/// segment `prev` retained. Pure `Arc` bumps — a retained segment is the
+/// **same allocation** as the master's (and as the previous generation's,
+/// when the master republish left it clean), which is what the
+/// per-shard-publish isolation tests observe.
+///
+/// Boot and full publishes pass no `prev` and all of the shard's members.
+/// A delta republish passes the previous slice and only the members inside
+/// the churn's closure: a member outside it is more than `hops` from every
+/// node whose edges or row changed, so its ego is the one `prev` already
+/// covers, and the egos that could have grown are exactly those walked
+/// here. The result is a superset of a fresh slice.
+fn slice_shard(
+    master: &Arc<ModelSnapshot>,
+    shard: usize,
+    prev: Option<&EmbedCache>,
+    members: &[u32],
+) -> ShardSnapshot {
     let hops = master.model.ego_config().hops;
-    let closure = dirty_closure(&master.graph, &members, hops);
     let mut keep = vec![false; master.embeddings.segment_count()];
-    for &v in &closure {
+    if let Some(prev) = prev {
+        for (seg, k) in keep.iter_mut().enumerate().take(prev.segment_count()) {
+            *k = prev.segment_addr(seg).is_some();
+        }
+    }
+    for v in dirty_closure(&master.graph, members, hops) {
         if let Some(k) = keep.get_mut(EmbedCache::segment_of(v as usize)) {
             *k = true;
         }
@@ -120,8 +141,9 @@ impl ShardedModelServer {
         let map = ShardMap::from_keys(&keys, n_shards);
         let master = ModelServer::new(artifact, world.graph.clone(), ds, seed);
         let snap = master.snapshot();
-        let shards =
-            (0..map.n_shards()).map(|s| Swap::new(Arc::new(slice_shard(&snap, &map, s)))).collect();
+        let shards = (0..map.n_shards())
+            .map(|s| Swap::new(Arc::new(slice_shard(&snap, s, None, &map.members(s)))))
+            .collect();
         Self { master, map: Swap::new(Arc::new(map)), shards, seed }
     }
 
@@ -176,7 +198,7 @@ impl ShardedModelServer {
         let snap = self.master.snapshot();
         let map = self.map.load_full();
         for (s, cell) in self.shards.iter().enumerate() {
-            cell.update(|_| Arc::new(slice_shard(&snap, &map, s)));
+            cell.update(|_| Arc::new(slice_shard(&snap, s, None, &map.members(s))));
         }
     }
 
@@ -184,29 +206,29 @@ impl ShardedModelServer {
     /// its delta publish (closure walk, row-equality filter, segment
     /// copy-on-write), then **only the affected shards** are resliced — a
     /// shard is affected iff it owns a node of the dirty-set-plus-appended
-    /// ego-radius closure. Every other shard keeps its previous snapshot:
-    /// epoch unmoved, segment allocations identical, readers undisturbed.
-    /// That snapshot still references the pre-churn master generation, and
-    /// serving from it is correct by the delta-wall argument: each of its
-    /// members is farther than `hops` from every changed node, so its
-    /// feature row and ego subgraph — and therefore its prediction — are
-    /// unchanged between the generations.
+    /// ego-radius closure the master walked. Each affected shard's new
+    /// slice grows from its previous one (see `slice_shard`). Every other
+    /// shard keeps its previous snapshot: epoch unmoved, segment
+    /// allocations identical, readers undisturbed. That snapshot still
+    /// references the pre-churn master generation, and serving from it is
+    /// correct by the delta-wall argument: each of its members is farther
+    /// than `hops` from every changed node, so its feature row and ego
+    /// subgraph — and therefore its prediction — are unchanged between the
+    /// generations.
     pub fn publish_delta(&self, world: &World, dirty: &DirtySet) -> DeltaPublishStats {
-        let prev_nodes = self.map.load_full().len();
         self.extend_map(world);
-        let stats = self.master.publish_delta(world, dirty);
+        let (stats, closure) = self.master.publish_delta_closure(world, dirty);
         let snap = self.master.snapshot();
         let map = self.map.load_full();
-        let mut seeds: Vec<u32> = dirty.nodes().to_vec();
-        seeds.extend(prev_nodes as u32..world.shops.len() as u32);
-        let closure = dirty_closure(&world.graph, &seeds, snap.model.ego_config().hops);
-        let mut affected = vec![false; map.n_shards()];
+        let mut hit: Vec<Vec<u32>> = vec![Vec::new(); map.n_shards()];
         for &v in &closure {
-            affected[map.shard_of(v as usize)] = true;
+            hit[map.shard_of(v as usize)].push(v);
         }
-        for (s, cell) in self.shards.iter().enumerate() {
-            if affected[s] {
-                cell.update(|_| Arc::new(slice_shard(&snap, &map, s)));
+        for (cell, hit) in self.shards.iter().zip(&hit) {
+            if !hit.is_empty() {
+                cell.update(|prev| {
+                    Arc::new(slice_shard(&snap, prev.shard, Some(&prev.embeddings), hit))
+                });
             }
         }
         stats
@@ -222,7 +244,7 @@ impl ShardedModelServer {
         let snap = self.master.snapshot();
         let map = self.map.load_full();
         for (s, cell) in self.shards.iter().enumerate() {
-            cell.update(|_| Arc::new(slice_shard(&snap, &map, s)));
+            cell.update(|_| Arc::new(slice_shard(&snap, s, None, &map.members(s))));
         }
     }
 
@@ -239,7 +261,8 @@ impl ShardedModelServer {
         self.master.publish_full(world);
         let snap = self.master.snapshot();
         let map = self.map.load_full();
-        self.shards[shard].update(|_| Arc::new(slice_shard(&snap, &map, shard)));
+        self.shards[shard]
+            .update(|_| Arc::new(slice_shard(&snap, shard, None, &map.members(shard))));
     }
 
     /// Serve `shops` through the sharded fleet: requests are enqueued onto

@@ -5,12 +5,14 @@
 //! GMV enters the models as standardised `log1p` values (`Scaler`), which is
 //! also how predictions are mapped back to currency for MAE/RMSE/MAPE.
 //!
-//! Storage is struct-of-arrays: every per-shop column lives in one flat
-//! arena (`[N·T]`-style, row-major per shop) rather than one heap object per
-//! shop, so building or refreshing a million-shop dataset performs a handful
-//! of allocations instead of O(N). Consumers read rows through the
-//! `*_row`/`temporal_at` accessors; the arenas themselves are private so the
-//! stride contracts below cannot be bypassed.
+//! Storage is flat arenas in copy-on-write chunks: every per-shop column
+//! lives at a fixed offset of its shop's row inside a shared chunk of
+//! `SEGMENT_NODES` consecutive shops, rather than one heap object per
+//! shop. Cloning a dataset is a vector of `Arc` bumps, and an
+//! incremental refresh copies only the chunks holding a rewritten row, so a
+//! republish under churn costs what the churn costs. Consumers read rows
+//! through the `*_row`/`temporal_at` accessors; the arenas themselves are
+//! private so the stride contracts below cannot be bypassed.
 
 use crate::config::WorldConfig;
 use crate::world::{month_of_year, Role, World};
@@ -19,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// `ln(1 + max(x, 0))` — the log transform every feature column funnels
 /// through (scaler fits and every normalised cell), kept as the single
@@ -108,13 +111,97 @@ pub struct Splits {
     pub test: Vec<usize>,
 }
 
+/// Nodes per copy-on-write segment: the one granularity of node-keyed
+/// shared storage. Shop `v`'s [`Dataset`] rows live in chunk
+/// `v / SEGMENT_NODES`, and gaia-core's embedding cache (which re-exports
+/// this constant) keeps node `v`'s values in segment `v / SEGMENT_NODES`,
+/// so an incremental republish copies one dataset chunk and one cache
+/// segment per dirty node. Small segments keep that copy close to the
+/// dirty nodes' own bytes: at 1% churn almost every dirty node lands in a
+/// segment of its own, which a republish copies whole. Smaller still
+/// trades the copy for more `Arc` reference counts touched per clone and
+/// shard slice (a probe of the cache at 16, 8 and 4 nodes chose 8). Must
+/// stay ≤ 64: the cache's segment presence masks are one `u64` bit per
+/// node.
+pub const SEGMENT_NODES: usize = 8;
+
+/// `f32` values per shop row inside a [`RowChunk`]: the input series
+/// (`T`), the auxiliary temporal columns (`T·2`), the statics (`d_s`) and
+/// the model-space targets (`T'`), in that order.
+fn row_stride(t: usize, horizon: usize, d_s: usize) -> usize {
+    t * (1 + D_AUX) + d_s + horizon
+}
+
+/// The per-shop columns of `SEGMENT_NODES` consecutive shops in two flat
+/// arenas, one row after another at a fixed stride. Every chunk holds a
+/// full `SEGMENT_NODES` rows; rows past the last shop stay zeroed and are
+/// never read.
+///
+/// A row's `f32` columns are `[series | aux | statics | targets_norm]`
+/// (see [`row_stride`]):
+/// - the normalised GMV input series, `T` values;
+/// - the scaler-dependent auxiliary temporal columns (log-orders,
+///   log-customers), `T·2` values row-major `[T][2]`. The other three
+///   temporal features are not stored per shop at all: sin/cos of the
+///   month come from the shared `Dataset::trig` table (identical for
+///   every shop) and the observed flag is derived from
+///   [`Dataset::observed_len`] (observed months are a window suffix) —
+///   see [`Dataset::temporal_at`]. Storing 2 of the 5 columns cuts the
+///   dominant dataset arena to 40% without changing a single value the
+///   model sees;
+/// - the static features, `d_s` values;
+/// - the model-space targets for the MSE loss (positive log space, see
+///   [`Scaler::normalize_pos`]), `T'` values.
+#[derive(Clone, Debug)]
+struct RowChunk {
+    /// `f32` row arena, `[R · row_stride]`.
+    cols: Vec<f32>,
+    /// Raw currency target arena `[R·T']` (future months).
+    targets_raw: Vec<f64>,
+}
+
+impl RowChunk {
+    fn zeroed(t: usize, horizon: usize, d_s: usize) -> Self {
+        Self {
+            cols: vec![0.0; SEGMENT_NODES * row_stride(t, horizon, d_s)],
+            targets_raw: vec![0.0; SEGMENT_NODES * horizon],
+        }
+    }
+
+    /// Mutable views of row `r`'s columns.
+    fn row_mut(&mut self, r: usize, t: usize, horizon: usize, d_s: usize) -> RowMut<'_> {
+        let s = row_stride(t, horizon, d_s);
+        let (series, rest) = self.cols[r * s..(r + 1) * s].split_at_mut(t);
+        let (aux, rest) = rest.split_at_mut(t * D_AUX);
+        let (stat, norm) = rest.split_at_mut(d_s);
+        let raw = &mut self.targets_raw[r * horizon..(r + 1) * horizon];
+        RowMut { series, aux, stat, raw, norm }
+    }
+
+    /// Payload bytes of the two arenas.
+    fn bytes(&self) -> usize {
+        self.cols.len() * std::mem::size_of::<f32>()
+            + self.targets_raw.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Mutable views of one shop's per-row columns, as
+/// [`RowChunk::row_mut`] hands them to [`write_node_row`].
+struct RowMut<'a> {
+    series: &'a mut [f32],
+    aux: &'a mut [f32],
+    stat: &'a mut [f32],
+    raw: &'a mut [f64],
+    norm: &'a mut [f32],
+}
+
 /// Model-ready dataset: per-shop input window features and horizon targets,
 /// plus the graph-independent bookkeeping every model shares.
 ///
-/// All feature columns are flat arenas indexed by shop id at fixed strides
-/// (shop `v`'s GMV series is `gmv_norm[v·T .. (v+1)·T]`, its temporal
-/// features `temporal[v·T·d_t .. (v+1)·T·d_t]` row-major `[T][d_t]`, and so
-/// on). Read them through [`Dataset::gmv_row`] and friends.
+/// The per-shop feature columns live in `Arc`'d chunks of `SEGMENT_NODES`
+/// rows (see the module docs). Read them through [`Dataset::gmv_row`] and
+/// friends. Cloning shares every chunk; a write copies only the chunk it
+/// lands in.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     /// Number of shops.
@@ -123,28 +210,12 @@ pub struct Dataset {
     pub t: usize,
     /// Forecast horizon `T'`.
     pub horizon: usize,
-    /// Normalised GMV input series arena, `[N·T]`.
-    gmv_norm: Vec<f32>,
-    /// Scaler-dependent auxiliary temporal columns (log-orders,
-    /// log-customers), `[N·T·2]` row-major `[T][2]` per shop. The other
-    /// three temporal features are not stored per shop at all: sin/cos of
-    /// the month come from the shared [`Dataset::trig`] table (identical
-    /// for every shop) and the observed flag is derived from
-    /// [`Dataset::observed_len`] (observed months are a window suffix) —
-    /// see [`Dataset::temporal_at`]. Storing 2 of the 5 columns cuts the
-    /// dominant dataset arena to 40% without changing a single value the
-    /// model sees.
-    aux: Vec<f32>,
+    /// Copy-on-write row chunks: chunk `k` holds shops
+    /// `[k·SEGMENT_NODES, (k+1)·SEGMENT_NODES)`.
+    chunks: Vec<Arc<RowChunk>>,
     /// Month sin/cos table for the input window, `[T]` — shared by every
     /// shop's temporal row.
     trig: Vec<(f32, f32)>,
-    /// Static feature arena, `[N·d_s]`.
-    statics: Vec<f32>,
-    /// Raw currency target arena `[N·T']` (future months).
-    targets_raw: Vec<f64>,
-    /// Model-space target arena `[N·T']` for the MSE loss (positive log
-    /// space, see [`Scaler::normalize_pos`]).
-    targets_norm: Vec<f32>,
     /// Observed months inside the input window per shop (`T` minus leading
     /// zeros) — the Fig 3 grouping key.
     pub observed_len: Vec<usize>,
@@ -216,11 +287,12 @@ pub fn build_dataset(world: &World) -> Dataset {
     let window = fut_start - in_start;
     let d_s = cfg.n_industries + cfg.n_regions + 2;
     let mut logs = vec![0.0f64; n * window * 3];
-    let mut statics = vec![0.0f32; n * d_s];
-    let mut targets_raw = vec![0.0f64; n * horizon];
+    let mut chunks: Vec<RowChunk> =
+        (0..n.div_ceil(SEGMENT_NODES)).map(|_| RowChunk::zeroed(t, horizon, d_s)).collect();
     let mut observed_len = vec![0usize; n];
     for v in 0..n {
         let shop = &world.shops[v];
+        let row = chunks[v / SEGMENT_NODES].row_mut(v % SEGMENT_NODES, t, horizon, d_s);
         let first = shop.opened.saturating_sub(in_start).min(window);
         observed_len[v] = window - first;
         for i in first..window {
@@ -230,14 +302,14 @@ pub fn build_dataset(world: &World) -> Dataset {
             logs[cell + 1] = log1p_pos(shop.orders[m]);
             logs[cell + 2] = log1p_pos(shop.customers[m]);
         }
-        let stat = &mut statics[v * d_s..(v + 1) * d_s];
+        let stat = row.stat;
         stat[shop.industry as usize] = 1.0;
         stat[cfg.n_industries + shop.region as usize] = 1.0;
         stat[cfg.n_industries + cfg.n_regions] =
             if shop.role == Role::Supplier { 1.0 } else { 0.0 };
         stat[cfg.n_industries + cfg.n_regions + 1] = observed_len[v].min(t) as f32 / t as f32;
         for (h, m) in (fut_start..fut_start + horizon).enumerate() {
-            targets_raw[v * horizon + h] = shop.gmv[m];
+            row.raw[h] = shop.gmv[m];
         }
     }
 
@@ -280,10 +352,6 @@ pub fn build_dataset(world: &World) -> Dataset {
     let orders_scaler = Scaler::from_moments(means[1], var_sums[1] / count as f64);
     let customers_scaler = Scaler::from_moments(means[2], var_sums[2] / count as f64);
 
-    let mut gmv_norm = vec![0.0f32; n * t];
-    let mut aux = vec![0.0f32; n * t * D_AUX];
-    let mut targets_norm = vec![0.0f32; n * horizon];
-
     // Pass C — normalised columns, streamed entirely from the arenas of
     // pass A (no World access at all): the input series and auxiliary
     // columns from the log arena, the model-space targets from the raw
@@ -294,45 +362,43 @@ pub fn build_dataset(world: &World) -> Dataset {
     // build path against the refresh path.
     for v in 0..n {
         let first = window - observed_len[v];
+        let row = chunks[v / SEGMENT_NODES].row_mut(v % SEGMENT_NODES, t, horizon, d_s);
         for i in first..window {
             let cell = (v * window + i) * 3;
-            gmv_norm[v * t + i] = scaler.normalize_log(logs[cell]);
-            aux[(v * t + i) * D_AUX] = orders_scaler.normalize_log(logs[cell + 1]);
-            aux[(v * t + i) * D_AUX + 1] = customers_scaler.normalize_log(logs[cell + 2]);
+            row.series[i] = scaler.normalize_log(logs[cell]);
+            row.aux[i * D_AUX] = orders_scaler.normalize_log(logs[cell + 1]);
+            row.aux[i * D_AUX + 1] = customers_scaler.normalize_log(logs[cell + 2]);
         }
         for h in 0..horizon {
-            targets_norm[v * horizon + h] = scaler.normalize_pos(targets_raw[v * horizon + h]);
+            row.norm[h] = scaler.normalize_pos(row.raw[h]);
         }
     }
     drop(logs);
     let trig = month_trig(cfg);
 
-    let max_model_z = splits
-        .train
-        .iter()
-        .flat_map(|&v| targets_norm[v * horizon..(v + 1) * horizon].iter().copied())
-        .fold(TARGET_SHIFT, f32::max)
-        + 1.0;
-
-    Dataset {
+    let mut ds = Dataset {
         n,
         t,
         horizon,
-        gmv_norm,
-        aux,
+        chunks: chunks.into_iter().map(Arc::new).collect(),
         trig,
-        statics,
-        targets_raw,
-        targets_norm,
         observed_len,
         scaler,
         orders_scaler,
         customers_scaler,
-        max_model_z,
+        max_model_z: 0.0,
         d_t: D_TEMPORAL,
         d_s,
         splits,
-    }
+    };
+    ds.max_model_z = ds
+        .splits
+        .train
+        .iter()
+        .flat_map(|&v| ds.targets_norm_row(v).iter().copied())
+        .fold(TARGET_SHIFT, f32::max)
+        + 1.0;
+    ds
 }
 
 /// Sin/cos month-of-year table for the input window. Identical for every
@@ -356,19 +422,15 @@ fn month_trig(cfg: &WorldConfig) -> Vec<(f32, f32)> {
 /// bit-identical output. Every slice element is overwritten (statics via
 /// an explicit fill), so stale refresh targets cannot leak through.
 /// Returns the observed window length.
-#[allow(clippy::too_many_arguments)]
 fn write_node_row(
     world: &World,
     v: usize,
     scaler: &Scaler,
     orders_scaler: &Scaler,
     customers_scaler: &Scaler,
-    series: &mut [f32],
-    aux: &mut [f32],
-    stat: &mut [f32],
-    raw: &mut [f64],
-    norm: &mut [f32],
+    row: RowMut<'_>,
 ) -> usize {
+    let RowMut { series, aux, stat, raw, norm } = row;
     let cfg = &world.config;
     let t = cfg.input_window;
     let in_start = cfg.input_start();
@@ -399,7 +461,9 @@ fn write_node_row(
 
 /// Refresh a dataset after world mutations, recomputing **only** the rows in
 /// `dirty` (plus any nodes appended since `prev` was built) under the frozen
-/// training-time statistics of `prev`.
+/// training-time statistics of `prev`. The result shares every row chunk
+/// without such a row with `prev`; only the chunks holding a recomputed row
+/// are copied (see [`Dataset::unshared_bytes`]).
 ///
 /// Freezing is the point: scalers, splits and the `max_model_z` clamp were
 /// fitted when the served model was trained, and a republish that does not
@@ -418,12 +482,8 @@ pub fn refresh_dataset(world: &World, prev: &Dataset, dirty: &[u32]) -> Dataset 
     let mut ds = prev.clone();
     ds.n = n;
     let (t, horizon, d_s) = (ds.t, ds.horizon, ds.d_s);
-    let ta = t * D_AUX;
-    ds.gmv_norm.resize(n * t, 0.0);
-    ds.aux.resize(n * ta, 0.0);
-    ds.statics.resize(n * d_s, 0.0);
-    ds.targets_raw.resize(n * horizon, 0.0);
-    ds.targets_norm.resize(n * horizon, 0.0);
+    ds.chunks
+        .resize_with(n.div_ceil(SEGMENT_NODES), || Arc::new(RowChunk::zeroed(t, horizon, d_s)));
     ds.observed_len.resize(n, 0);
     for v in prev.n..n {
         ds.splits.test.push(v);
@@ -432,19 +492,10 @@ pub fn refresh_dataset(world: &World, prev: &Dataset, dirty: &[u32]) -> Dataset 
         (ds.scaler, ds.orders_scaler, ds.customers_scaler);
     let recompute = dirty.iter().map(|&v| v as usize).filter(|&v| v < prev.n).chain(prev.n..n);
     for v in recompute {
-        let obs = write_node_row(
-            world,
-            v,
-            &scaler,
-            &orders_scaler,
-            &customers_scaler,
-            &mut ds.gmv_norm[v * t..(v + 1) * t],
-            &mut ds.aux[v * ta..(v + 1) * ta],
-            &mut ds.statics[v * d_s..(v + 1) * d_s],
-            &mut ds.targets_raw[v * horizon..(v + 1) * horizon],
-            &mut ds.targets_norm[v * horizon..(v + 1) * horizon],
-        );
-        ds.observed_len[v] = obs;
+        let chunk = Arc::make_mut(&mut ds.chunks[v / SEGMENT_NODES]);
+        let row = chunk.row_mut(v % SEGMENT_NODES, t, horizon, d_s);
+        ds.observed_len[v] =
+            write_node_row(world, v, &scaler, &orders_scaler, &customers_scaler, row);
     }
     ds
 }
@@ -480,25 +531,36 @@ pub fn node_row_unchanged(a: &Dataset, b: &Dataset, v: usize) -> bool {
 }
 
 impl Dataset {
+    /// Shop `v`'s `f32` columns `[series | aux | statics | targets_norm]`
+    /// (see [`RowChunk`]).
+    #[inline]
+    fn cols(&self, v: usize) -> &[f32] {
+        let s = row_stride(self.t, self.horizon, self.d_s);
+        let r = v % SEGMENT_NODES;
+        &self.chunks[v / SEGMENT_NODES].cols[r * s..(r + 1) * s]
+    }
+
     /// Normalised GMV input series of shop `v` (length `T`).
     #[inline]
     pub fn gmv_row(&self, v: usize) -> &[f32] {
-        &self.gmv_norm[v * self.t..(v + 1) * self.t]
+        &self.cols(v)[..self.t]
     }
 
     /// Mutable view of shop `v`'s input series (ablations and tests that
-    /// perturb inputs in place).
+    /// perturb inputs in place). Copies `v`'s chunk first if another
+    /// dataset still shares it.
     #[inline]
     pub fn gmv_row_mut(&mut self, v: usize) -> &mut [f32] {
-        &mut self.gmv_norm[v * self.t..(v + 1) * self.t]
+        let (t, horizon, d_s) = (self.t, self.horizon, self.d_s);
+        let chunk = Arc::make_mut(&mut self.chunks[v / SEGMENT_NODES]);
+        chunk.row_mut(v % SEGMENT_NODES, t, horizon, d_s).series
     }
 
     /// Stored auxiliary temporal columns of shop `v`: `T·2` values,
     /// row-major `[T][2]` (log-orders, log-customers).
     #[inline]
     fn aux_row(&self, v: usize) -> &[f32] {
-        let ta = self.t * D_AUX;
-        &self.aux[v * ta..(v + 1) * ta]
+        &self.cols(v)[self.t..self.t * (1 + D_AUX)]
     }
 
     /// Temporal feature `k` of input-window row `row` for shop `v`.
@@ -512,7 +574,7 @@ impl Dataset {
         match k {
             0 => self.trig[row].0,
             1 => self.trig[row].1,
-            2 | 3 => self.aux[(v * self.t + row) * D_AUX + (k - 2)],
+            2 | 3 => self.aux_row(v)[row * D_AUX + (k - 2)],
             _ => {
                 if row >= self.t - self.observed_len[v].min(self.t) {
                     1.0
@@ -531,13 +593,14 @@ impl Dataset {
     pub fn write_temporal_row(&self, v: usize, out: &mut [f32]) {
         assert_eq!(out.len(), self.t * self.d_t);
         let first = self.t - self.observed_len[v].min(self.t);
+        let aux = self.aux_row(v);
         for row in 0..self.t {
             let o = &mut out[row * D_TEMPORAL..(row + 1) * D_TEMPORAL];
             let (sin_m, cos_m) = self.trig[row];
             o[0] = sin_m;
             o[1] = cos_m;
-            o[2] = self.aux[(v * self.t + row) * D_AUX];
-            o[3] = self.aux[(v * self.t + row) * D_AUX + 1];
+            o[2] = aux[row * D_AUX];
+            o[3] = aux[row * D_AUX + 1];
             o[4] = if row >= first { 1.0 } else { 0.0 };
         }
     }
@@ -545,42 +608,63 @@ impl Dataset {
     /// Static features of shop `v` (length `d_s`).
     #[inline]
     pub fn statics_row(&self, v: usize) -> &[f32] {
-        &self.statics[v * self.d_s..(v + 1) * self.d_s]
+        let a = self.t * (1 + D_AUX);
+        &self.cols(v)[a..a + self.d_s]
     }
 
     /// Raw currency targets of shop `v` (length `T'`).
     #[inline]
     pub fn targets_raw_row(&self, v: usize) -> &[f64] {
-        &self.targets_raw[v * self.horizon..(v + 1) * self.horizon]
+        let r = v % SEGMENT_NODES;
+        &self.chunks[v / SEGMENT_NODES].targets_raw[r * self.horizon..(r + 1) * self.horizon]
     }
 
     /// Model-space targets of shop `v` (length `T'`).
     #[inline]
     pub fn targets_norm_row(&self, v: usize) -> &[f32] {
-        &self.targets_norm[v * self.horizon..(v + 1) * self.horizon]
+        &self.cols(v)[self.t * (1 + D_AUX) + self.d_s..]
     }
 
     /// Approximate resident heap bytes of the feature store: every heap
     /// block's `capacity × element size` plus a 16-byte per-allocation
     /// overhead (allocator header/rounding). Inline struct headers are
     /// counted as part of their parent block. The world-scale bench tracks
-    /// this figure versus `n_shops`; the flat arenas make it six
-    /// allocations plus the splits regardless of `N`.
+    /// this figure versus `n_shops`; a row chunk is three allocations (the
+    /// `Arc` and its two arenas) per `SEGMENT_NODES` shops.
     pub fn approx_heap_bytes(&self) -> usize {
         const OVH: usize = 16;
         fn vec_bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>() + OVH
         }
-        vec_bytes(&self.gmv_norm)
-            + vec_bytes(&self.aux)
+        let chunks: usize =
+            self.chunks.iter().map(|c| OVH + vec_bytes(&c.cols) + vec_bytes(&c.targets_raw)).sum();
+        chunks
+            + vec_bytes(&self.chunks)
             + vec_bytes(&self.trig)
-            + vec_bytes(&self.statics)
-            + vec_bytes(&self.targets_raw)
-            + vec_bytes(&self.targets_norm)
             + vec_bytes(&self.observed_len)
             + vec_bytes(&self.splits.train)
             + vec_bytes(&self.splits.val)
             + vec_bytes(&self.splits.test)
+    }
+
+    /// Payload bytes of one full row chunk: the unit an incremental
+    /// refresh copies per touched chunk.
+    pub fn chunk_bytes(&self) -> usize {
+        // Every chunk holds a full `SEGMENT_NODES` rows, so any one will do.
+        self.chunks.first().map_or(0, |c| c.bytes())
+    }
+
+    /// Payload bytes of the row chunks this dataset holds in allocations
+    /// of its own rather than shared with `prev` (compared by address, slot
+    /// by slot): what [`refresh_dataset`] copied or allocated to build it
+    /// from `prev`.
+    pub fn unshared_bytes(&self, prev: &Dataset) -> usize {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter(|&(k, c)| prev.chunks.get(k).is_none_or(|p| !Arc::ptr_eq(c, p)))
+            .map(|(_, c)| c.bytes())
+            .sum()
     }
 
     /// Normalised-target tensor `[1, T']` for the loss.
@@ -881,6 +965,43 @@ mod tests {
         // bit-identical row — the skip test must see through it.
         let remark = refresh_dataset(&world, &fresh, &[5]);
         assert!(node_row_unchanged(&remark, &fresh, 5));
+    }
+
+    /// A refresh is copy-on-write per row chunk: the chunk holding the
+    /// rewritten row (and the one an appended shop lands in) is copied,
+    /// every other chunk stays the previous dataset's allocation.
+    #[test]
+    fn refresh_copies_only_the_chunks_it_rewrites() {
+        use crate::mutate::{MonthlySales, NewShop};
+        let (mut world, ds) = dataset();
+        assert!(ds.n > 2 * SEGMENT_NODES, "the probe needs a clean chunk between the writes");
+        assert_eq!(refresh_dataset(&world, &ds, &[]).unshared_bytes(&ds), 0);
+        let window: Vec<MonthlySales> = (0..ds.horizon + 3)
+            .map(|i| MonthlySales { gmv: 6e4 + i as f64, orders: 70.0, customers: 30.0 })
+            .collect();
+        let before = ds.gmv_row(2).to_vec();
+        world.record_sales(2, &window);
+        let dirty = world.take_dirty();
+        let fresh = refresh_dataset(&world, &ds, dirty.nodes());
+        assert_eq!(fresh.unshared_bytes(&ds), ds.chunk_bytes());
+        for k in 1..ds.chunks.len() {
+            assert!(Arc::ptr_eq(&fresh.chunks[k], &ds.chunks[k]), "clean chunk {k} copied");
+        }
+        // The previous dataset still reads its own row.
+        assert_ne!(fresh.gmv_row(2), ds.gmv_row(2));
+        assert_eq!(ds.gmv_row(2), &before[..]);
+        // An appended shop lands in the last chunk (or a new one).
+        world.add_shop(NewShop {
+            industry: 0,
+            region: 0,
+            role: Role::Retailer,
+            owner: u32::MAX,
+            lead: 0,
+        });
+        let grown = refresh_dataset(&world, &fresh, world.dirty().nodes());
+        assert_eq!(grown.unshared_bytes(&fresh), grown.chunk_bytes());
+        assert_eq!(grown.chunks.len(), grown.n.div_ceil(SEGMENT_NODES));
+        assert!(Arc::ptr_eq(&grown.chunks[0], &fresh.chunks[0]));
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod world;
 pub use config::WorldConfig;
 pub use features::{
     build_dataset, generate_dataset, node_row_unchanged, refresh_dataset, refresh_dataset_full,
-    Dataset, Scaler, Splits, D_TEMPORAL, TARGET_SHIFT,
+    Dataset, Scaler, Splits, D_TEMPORAL, SEGMENT_NODES, TARGET_SHIFT,
 };
 pub use mutate::{DirtySet, MonthlySales, NewShop};
 pub use world::{month_of_year, Role, Shop, TrueSupplyLink, World};

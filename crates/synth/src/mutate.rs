@@ -13,6 +13,7 @@
 use crate::world::{Role, Shop, TrueSupplyLink, World};
 use gaia_graph::{Edge, EdgeType, EsellerGraph};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Sorted, deduplicated set of node ids whose inputs changed since the last
 /// publish. Recorded by the [`World`] mutation API, drained by
@@ -152,7 +153,7 @@ impl World {
         }
         let mut edges: Vec<Edge> = self.graph.edges().collect();
         edges.push(Edge { src: supplier, dst: retailer, ty: EdgeType::SupplyChain });
-        self.graph = EsellerGraph::from_edges(n, &edges);
+        self.graph = Arc::new(EsellerGraph::from_edges(n, &edges));
         self.true_supply_links.push(TrueSupplyLink {
             supplier,
             retailer,
@@ -178,7 +179,7 @@ impl World {
         if edges.len() == before {
             return false;
         }
-        self.graph = EsellerGraph::from_edges(n, &edges);
+        self.graph = Arc::new(EsellerGraph::from_edges(n, &edges));
         self.true_supply_links.retain(|l| !(l.supplier == supplier && l.retailer == retailer));
         self.dirty.mark(supplier);
         self.dirty.mark(retailer);
@@ -216,7 +217,7 @@ impl World {
                 self.dirty.mark(v as u32);
             }
         }
-        self.graph = EsellerGraph::from_edges(self.shops.len(), &edges);
+        self.graph = Arc::new(EsellerGraph::from_edges(self.shops.len(), &edges));
         self.dirty.mark(id);
         id
     }
@@ -262,7 +263,7 @@ impl World {
             });
             self.dirty.mark(partner);
         }
-        self.graph = EsellerGraph::from_edges(n, &edges);
+        self.graph = Arc::new(EsellerGraph::from_edges(n, &edges));
         self.dirty.mark(shop);
     }
 }

@@ -23,6 +23,7 @@ use gaia_tensor::gauss;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Role of a shop in supply chains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,8 +82,11 @@ pub struct World {
     pub config: WorldConfig,
     /// All shops, indexed by node id.
     pub shops: Vec<Shop>,
-    /// The e-seller graph (supply + same-owner/shareholder edges).
-    pub graph: EsellerGraph,
+    /// The e-seller graph (supply + same-owner/shareholder edges). Shared:
+    /// a mutation rebuilds the graph whole and swaps in a new `Arc`, so a
+    /// serving snapshot holds the graph it was published with for the cost
+    /// of a reference count.
+    pub graph: Arc<EsellerGraph>,
     /// Ground-truth supply links (superset info for mining evaluation).
     pub true_supply_links: Vec<TrueSupplyLink>,
     /// Nodes mutated since the last publish (see `crate::mutate`). Freshly
@@ -299,7 +303,13 @@ impl World {
         }
 
         let graph = EsellerGraph::from_edges(n, &edges);
-        World { config, shops, graph, true_supply_links: true_links, dirty: DirtySet::default() }
+        World {
+            config,
+            shops,
+            graph: Arc::new(graph),
+            true_supply_links: true_links,
+            dirty: DirtySet::default(),
+        }
     }
 
     /// Candidate `(supplier, retailer)` pairs for the mining path: all pairs

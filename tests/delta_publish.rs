@@ -11,12 +11,15 @@
 //!   chain of republishes (clean segments are shared, not copied, and the
 //!   tape pool never sees a new shape),
 //! - cache segments outside each delta's ego closure are carried into the
-//!   next generation as the *same* `Arc` allocation.
+//!   next generation as the *same* `Arc` allocation,
+//! - a republish at world scale copies O(churn) bytes: at most one cache
+//!   segment and one dataset row chunk per recomputed node, and no graph.
 
 use gaia_core::{EmbedCache, Gaia, GaiaConfig, GraphForecaster};
 use gaia_graph::{dirty_closure, EgoConfig};
 use gaia_serving::{ModelArtifact, ModelServer};
 use gaia_synth::{generate_dataset, DirtySet, MonthlySales, World, WorldConfig};
+use std::sync::Arc;
 
 const N_SHOPS: usize = 160;
 const GENERATIONS: usize = 6;
@@ -24,7 +27,11 @@ const GENERATIONS: usize = 6;
 /// Boot a server over a deterministic untrained model (republish behaviour
 /// does not depend on training) plus the world it serves.
 fn boot() -> (ModelServer, World) {
-    let wc = WorldConfig { n_shops: N_SHOPS, seed: 77, ..WorldConfig::tiny() };
+    boot_world(N_SHOPS)
+}
+
+fn boot_world(n_shops: usize) -> (ModelServer, World) {
+    let wc = WorldConfig { n_shops, seed: 77, ..WorldConfig::tiny() };
     let (world, ds) = generate_dataset(wc);
     let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
     cfg.channels = 8;
@@ -169,4 +176,50 @@ fn republish_chain_shares_clean_segments_between_adjacent_generations() {
         prev = next;
     }
     assert!(shared_total > 0, "the chain never shared a segment");
+}
+
+/// THE O(churn) copy wall: at 20k shops with 1% churn spread evenly over
+/// the id space — every dirty shop in a cache segment and a dataset row
+/// chunk of its own, the worst case for copy-on-write — a delta republish
+/// newly allocates at most one segment and one row chunk per recomputed
+/// node, and shares the world's graph instead of copying it. A deep
+/// dataset clone, or segments wide enough to drag in many clean
+/// neighbours per dirty node, break the bound.
+#[test]
+fn publish_delta_copies_o_churn() {
+    const SHOPS: usize = 20_000;
+    let (server, mut world) = boot_world(SHOPS);
+    let horizon = server.snapshot().ds.horizon;
+    for (i, shop) in (0..SHOPS).step_by(100).enumerate() {
+        let window: Vec<MonthlySales> = (0..horizon + 2)
+            .map(|m| MonthlySales {
+                gmv: 3_000.0 + 17.0 * i as f64 + 5.0 * m as f64,
+                orders: 40.0,
+                customers: 11.0,
+            })
+            .collect();
+        world.record_sales(shop as u32, &window);
+    }
+    let dirty = world.take_dirty();
+    assert_eq!(dirty.len(), SHOPS / 100);
+    let prev = server.snapshot();
+    let stats = server.publish_delta(&world, &dirty);
+    let next = server.snapshot();
+
+    assert_eq!(stats.recomputed_nodes, dirty.len(), "every spread write moves its row");
+    let per_node = next.embeddings.segment_bytes() + next.ds.chunk_bytes();
+    assert!(stats.cloned_bytes > 0, "a republish that recomputes must copy something");
+    assert!(
+        stats.cloned_bytes <= stats.recomputed_nodes * per_node,
+        "republish copied {} bytes for {} recomputed nodes (bound {} per node)",
+        stats.cloned_bytes,
+        stats.recomputed_nodes,
+        per_node
+    );
+    assert_eq!(
+        stats.cloned_bytes,
+        next.embeddings.unshared_bytes(&prev.embeddings) + next.ds.unshared_bytes(&prev.ds),
+        "cloned_bytes is the address diff against the previous generation"
+    );
+    assert!(Arc::ptr_eq(&next.graph, &world.graph), "the snapshot must share the world's graph");
 }

@@ -4,7 +4,7 @@
 use gaia_core::half::{f16_to_f32, f32_to_f16};
 use gaia_core::trainer::{predict_batch_with, predict_one_with, InferenceScratch};
 use gaia_core::{EmbedCache, Gaia, GaiaConfig, ProjSlot};
-use gaia_graph::{extract_ego, Edge, EdgeType, EgoConfig, EsellerGraph};
+use gaia_graph::{dirty_closure, extract_ego, Edge, EdgeType, EgoConfig, EsellerGraph};
 use gaia_serving::{ModelArtifact, ModelServer, ShardedModelServer};
 use gaia_synth::{
     build_dataset, generate_dataset, month_of_year, MonthlySales, NewShop, Role, Scaler, World,
@@ -715,7 +715,7 @@ proptest! {
 
     /// PUBLISH PARITY WALL — the batched publish path is a pure
     /// performance rewrite of the per-node reference: for random worlds
-    /// (sized to straddle the 64-node cache segment boundary) and random
+    /// (sized to straddle several cache segment boundaries) and random
     /// block sizes (including the degenerate `B = 1` and sizes that leave
     /// a ragged tail, `ds.n % B != 0`), the rank-3 block driver must
     /// reproduce every frozen lane — the embedding plus all five layer-0
@@ -875,6 +875,93 @@ proptest! {
         server.publish_delta(&world, &dirty);
         prop_assert_eq!(server.shard_map().len(), world.shops.len());
         check_world(&server, "post-churn")?;
+    }
+
+    /// INCREMENTAL RESLICE — a sharded delta republish grows each affected
+    /// shard's slice from its previous one instead of re-walking every
+    /// member's ego. Over random rounds of churn (history rewrites, added
+    /// and removed supply edges, appended shops), after every
+    /// `publish_delta`:
+    /// - every shard slice covers the ego closure of each of its members
+    ///   on the graph it serves, so a pinned worker never misses;
+    /// - its retained segments are a superset of what a fresh slice of
+    ///   the current master generation would keep;
+    /// - shards the churn's closure does not reach keep their epoch and
+    ///   their snapshot, and the rest advance by exactly one epoch.
+    #[test]
+    fn incremental_reslice_covers_fresh_slices(
+        world_seed in 0u64..10_000,
+        n_shops in 30usize..90,
+        n_shards in 1usize..=5,
+        hops in 1usize..=2,
+        rounds in prop::collection::vec(
+            prop::collection::vec((0usize..4, 0u64..1_000_000), 0..6),
+            1..5,
+        ),
+    ) {
+        const SLOTS: [ProjSlot; 5] =
+            [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst];
+        let wc = WorldConfig { n_shops, seed: world_seed, ..WorldConfig::tiny() };
+        let (mut world, ds) = generate_dataset(wc);
+        let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
+        cfg.channels = 4;
+        cfg.kernel_groups = 2;
+        cfg.layers = 1;
+        cfg.ego = EgoConfig { hops, fanout: 3 };
+        let model = Gaia::new(cfg.clone(), world_seed ^ 0x5E1C);
+        let artifact = ModelArtifact {
+            version: 1,
+            config: cfg,
+            checkpoint: model.checkpoint(),
+            final_train_loss: 0.0,
+        };
+        let server = ShardedModelServer::new(&artifact, &world, ds.clone(), n_shards, 42);
+
+        for (round, ops) in rounds.iter().enumerate() {
+            let before: Vec<_> = (0..server.n_shards())
+                .map(|s| (server.shard_epoch(s), server.shard_snapshot(s)))
+                .collect();
+            let prev_n = world.shops.len();
+            for &(kind, arg) in ops {
+                apply_churn_op(&mut world, ds.horizon, kind, arg);
+            }
+            let dirty = world.take_dirty();
+            server.publish_delta(&world, &dirty);
+
+            let master = server.master().snapshot();
+            let map = server.shard_map();
+            let mut seeds = dirty.nodes().to_vec();
+            seeds.extend(prev_n as u32..world.shops.len() as u32);
+            let mut touched = vec![false; server.n_shards()];
+            for v in dirty_closure(&world.graph, &seeds, hops) {
+                touched[map.shard_of(v as usize)] = true;
+            }
+            for (s, (epoch, prev)) in before.iter().enumerate() {
+                let snap = server.shard_snapshot(s);
+                if touched[s] {
+                    prop_assert_eq!(server.shard_epoch(s), epoch + 1, "round {}: shard {}", round, s);
+                    prop_assert!(std::sync::Arc::ptr_eq(&snap.master, &master));
+                } else {
+                    prop_assert_eq!(server.shard_epoch(s), *epoch, "round {}: shard {} moved", round, s);
+                    prop_assert!(std::sync::Arc::ptr_eq(&snap, prev));
+                }
+                let members = map.members(s);
+                for v in dirty_closure(&snap.master.graph, &members, hops) {
+                    let v = v as usize;
+                    prop_assert!(snap.embeddings.has_embed(v), "round {}: shard {} misses {}", round, s, v);
+                    for slot in SLOTS {
+                        prop_assert!(snap.embeddings.has_proj(v, slot));
+                    }
+                }
+                for v in dirty_closure(&master.graph, &members, hops) {
+                    let seg = EmbedCache::segment_of(v as usize);
+                    prop_assert!(
+                        snap.embeddings.segment_addr(seg).is_some(),
+                        "round {}: shard {} dropped segment {} a fresh slice keeps", round, s, seg
+                    );
+                }
+            }
+        }
     }
 }
 
